@@ -29,7 +29,6 @@ from repro.experiments.runner import (
     cache_info,
     clear_cache,
     geometric_mean,
-    run_system,  # deprecated wrapper
 )
 from repro.experiments.store import ResultStore, default_store, set_default_store
 
@@ -46,7 +45,6 @@ __all__ = [
     "SweepExecutor",
     "ExecutionReport",
     "ExecutorError",
-    "run_system",
     "geometric_mean",
     "clear_cache",
     "cache_info",

@@ -10,35 +10,29 @@ examples sit on::
     records = sweep(base, axes={"num_vcs": [2, 4]})       # tidy records
     out = grid(["bfs"], ["xy-baseline", "ada-ari"])       # out[bm][scheme]
 
-All cached entry points go through one :class:`~repro.experiments.store.
+All cached entry points read through one :class:`~repro.experiments.store.
 ResultStore` (``store=`` to override, ``REPRO_CACHE`` for the default
-location) and one :class:`~repro.experiments.executor.SweepExecutor`
+location) under one rule (:class:`~repro.experiments.executor.ReadThrough`);
+batches run on a :class:`~repro.experiments.executor.SweepExecutor`
 (``workers=`` to parallelize; every spec carries its own seed, so
 parallel output is record-for-record identical to serial).
 
 Live runs with telemetry attached never consult the cache; use
-:func:`run_live` (or ``run(spec, telemetry=...)``) for those.  The old
-``run_system`` / ``run_with_telemetry`` / ``runner.sweep`` /
-``cartesian_sweep`` names remain as thin deprecated wrappers.
+:func:`run_live` (or set ``RunSpec.telemetry``) for those.  Cached,
+live and pooled runs alike simulate through the one pipeline,
+:func:`~repro.experiments.executor.simulate_spec`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import warnings
 from dataclasses import fields, replace
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.experiments.executor import (
-    SweepExecutor,
-    fault_extras,
-    install_spec_faults,
-    resolve_invariant_mode,
-    simulate_spec,
-)
+from repro.experiments.executor import ReadThrough, SweepExecutor, simulate_spec
 from repro.experiments.runner import RunSpec
-from repro.experiments.store import ResultStore, coerce_record, default_store
+from repro.experiments.store import ResultStore
 from repro.gpu.system import SimulationResult
 from repro.telemetry.profiler import HostProfiler
 
@@ -88,28 +82,22 @@ def run(
     *,
     store: Optional[ResultStore] = None,
     use_cache: bool = True,
-    telemetry=None,
-    interval: int = 100,
-    jsonl_path: Optional[str] = None,
-    csv_path: Optional[str] = None,
     check_invariants=None,
     strict: Optional[bool] = None,
 ) -> SimulationResult:
     """Run one spec and return its :class:`SimulationResult`.
 
-    Without ``telemetry`` this is a cached run: the result store is
-    consulted first and fresh results are written back.  With
-    ``telemetry`` (``True`` for a default collector, or a
-    :class:`~repro.telemetry.TelemetryCollector` you keep a reference
-    to), the run is live and the cache is bypassed — use
-    :func:`run_live` when you also need the collector/system back.
+    This is a cached run: the result store is consulted first and fresh
+    results are written back.  A spec with ``RunSpec.telemetry`` set is
+    a live run instead — it goes through :func:`run_live` with that
+    sampling interval and bypasses the cache; call :func:`run_live`
+    directly when you also need the collector or system back.
 
     ``check_invariants`` turns on per-cycle flow-control auditing
     (``True``/"raise" fails on the first violation, ``"collect"``
     records a count in extras; default defers to the
-    ``REPRO_CHECK_INVARIANTS`` env var).  A run asked to *raise* on
-    violations never reads the cache — a cached record proves nothing
-    about invariants, so the simulation is redone under audit.
+    ``REPRO_CHECK_INVARIANTS`` env var).  A *raise*-mode run never reads
+    the cache (see :class:`~repro.experiments.executor.ReadThrough`).
 
     Every entry point first static-checks the spec
     (:func:`repro.staticcheck.validate_spec`): blocking findings raise
@@ -118,42 +106,14 @@ def run(
     ``REPRO_STATICCHECK`` env var ("off"/"warn"/"strict") sets the
     default.
     """
-    if telemetry is None and spec.telemetry is not None:
-        # RunSpec.telemetry carries the sampling interval; a spec that
-        # asks for telemetry is a live run like an explicit telemetry=.
-        telemetry = True
-        interval = spec.telemetry
-    if telemetry:
-        collector = None if telemetry is True else telemetry
-        # The LiveRun aggregate holds the collector (and its host
-        # profiler); only .result escapes here, and its wall-time extras
-        # are already discharged at their assignments in run_live.
-        return run_live(  # taint: sanitize(wallclock)
-            spec,
-            collector=collector,
-            interval=interval,
-            jsonl_path=jsonl_path,
-            csv_path=csv_path,
-            strict=strict,
-        ).result
+    if spec.telemetry is not None:
+        return run_live(spec, interval=spec.telemetry, strict=strict).result
     _validate_specs([spec], strict)
-    mode = resolve_invariant_mode(check_invariants)
-    st = store if store is not None else default_store()
-    if use_cache and mode != "raise":
-        hit = st.get(spec.key())
-        if hit is not None:
-            cached = coerce_record(hit)
-            if cached is not None:
-                return cached
-            warnings.warn(
-                f"ignoring legacy-format cache entry for {spec.key()[:12]}; "
-                "re-simulating (run `repro cache --clear` to purge)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    result = simulate_spec(spec, check_invariants=check_invariants)
-    if use_cache:
-        st.put(spec.key(), dataclasses.asdict(result))
+    cache = ReadThrough(store, use_cache, check_invariants)
+    result = cache.get(spec)
+    if result is None:
+        result = simulate_spec(spec, check_invariants=check_invariants)
+        cache.put(spec, result)
     return result
 
 
@@ -169,10 +129,12 @@ def run_live(
     """Simulate one spec with a telemetry collector attached.
 
     Telemetry needs a *live* run, so this never consults the result
-    store.  The returned :class:`LiveRun` carries the result, the
-    collector (always holding an in-memory sink plus optional JSONL/CSV
-    artifact sinks when paths are given), and the simulated system —
-    figure drivers and the ``repro telemetry`` CLI both sit here.
+    store.  Without a ``collector`` one is built with an in-memory sink
+    plus JSONL/CSV artifact sinks for the paths given.  The run itself
+    is :func:`~repro.experiments.executor.simulate_spec`; the returned
+    :class:`LiveRun` carries its result, the (closed) collector and the
+    simulated system — figure drivers and the ``repro telemetry`` CLI
+    both sit here.
     """
     _validate_specs([spec], strict)
     from repro.telemetry import (
@@ -189,37 +151,11 @@ def run_live(
         if csv_path:
             sinks.append(CSVSink(csv_path))
         collector = TelemetryCollector(interval=interval, sinks=sinks)
-    profiler = collector.profiler
-    with profiler.phase("build"):
-        from repro.experiments.runner import build_system
-
-        system = build_system(spec)
-    system.attach_telemetry(collector)
-    injectors, faulted = install_spec_faults(spec, system)
-    if injectors:
-        from repro.faults import FaultProbe
-
-        collector.add_probe(FaultProbe(list(injectors.values())))
-    with profiler.phase("measure"):
-        result = system.simulate(
-            cycles=spec.cycles,
-            warmup=spec.warmup,
-            on_deadlock="record" if faulted else "raise",
-        )
-    if faulted:
-        result.extras.update(fault_extras(system, injectors))
-    profiler.count("cycles", spec.cycles + spec.warmup)
-    profiler.count(
-        "packets",
-        system.request_net.stats.packets_delivered
-        + system.reply_net.stats.packets_delivered,
-    )
-    # Diagnostic-only host timings (see simulate_spec): telemetry runs
-    # bypass the cache, and the values never steer simulation state.
-    result.extras["sim_wall_s"] = profiler.phase_seconds("measure")  # taint: sanitize(wallclock)
-    result.extras["sim_cycles_per_sec"] = profiler.rate("cycles", "measure")  # taint: sanitize(wallclock)
-    collector.close()
-    return LiveRun(result=result, collector=collector, system=system)
+    try:
+        result = simulate_spec(spec, collector=collector)
+    finally:
+        collector.close()
+    return LiveRun(result=result, collector=collector, system=collector.system)
 
 
 def run_many(

@@ -226,19 +226,18 @@ def result_payload(result) -> Dict[str, object]:
     return payload
 
 
-def _run_system_case(spec: RunSpec, kernel: str) -> Dict[str, object]:
+def _run_system_case(spec: RunSpec, kernel: str, telemetry: bool) -> Dict[str, object]:
     from repro.experiments.executor import simulate_spec
 
-    result = simulate_spec(replace(spec, kernel=kernel))
-    return result_payload(result)
+    collector = None
+    if telemetry:
+        from repro.telemetry import TelemetryCollector
 
-
-def _run_telemetry_case(spec: RunSpec, kernel: str) -> Dict[str, object]:
-    from repro.experiments.api import run_live
-
-    live = run_live(replace(spec, kernel=kernel), interval=50)
-    payload = result_payload(live.result)
-    payload["telemetry_samples"] = live.collector.samples_taken
+        collector = TelemetryCollector(interval=50)
+    result = simulate_spec(replace(spec, kernel=kernel), collector=collector)
+    payload = result_payload(result)
+    if collector is not None:
+        payload["telemetry_samples"] = collector.samples_taken
     return payload
 
 
@@ -289,12 +288,8 @@ def run_equivalence(
         record(name, ref, act)
 
     for name, spec, telemetry in system_cases(quick):
-        if telemetry:
-            ref = _run_telemetry_case(spec, "reference")
-            act = _run_telemetry_case(spec, "activity")
-        else:
-            ref = _run_system_case(spec, "reference")
-            act = _run_system_case(spec, "activity")
+        ref = _run_system_case(spec, "reference", telemetry)
+        act = _run_system_case(spec, "activity", telemetry)
         record(name, ref, act)
 
     return report

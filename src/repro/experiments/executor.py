@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -177,25 +178,32 @@ def fault_extras(system, injectors) -> Dict[str, float]:
 
 
 def simulate_spec(
-    spec: RunSpec, check_invariants=None
+    spec: RunSpec, check_invariants=None, collector=None
 ) -> SimulationResult:
-    """Simulate one spec fresh (no cache involved).
+    """Simulate one spec fresh: the one pipeline every run goes through.
 
-    Also records host-side profiling (build / simulate wall time and
-    simulated cycles per second) in ``result.extras`` so every artifact
-    carries the perf trajectory of the simulator itself.  Specs carrying
-    a fault plan get the :mod:`repro.faults` subsystem installed (lazily
-    imported — a plain spec never loads it) plus degradation extras;
-    ``check_invariants`` (or :data:`INVARIANTS_ENV`) adds per-cycle
-    flow-control audits.
+    Records host-side profiling (build / simulate wall time and simulated
+    cycles per second) and the energy model's output in ``result.extras``.
+    Specs carrying a fault plan get the :mod:`repro.faults` subsystem
+    installed (lazily imported — a plain spec never loads it) plus
+    degradation extras; ``check_invariants`` (or :data:`INVARIANTS_ENV`)
+    adds per-cycle flow-control audits.  A telemetry ``collector`` is
+    attached (plus a ``fault.*`` probe for faulted specs) and its
+    profiler does the host timing.
     """
     _maybe_inject_fault(spec)
     mode = resolve_invariant_mode(check_invariants)
-    profiler = HostProfiler()
+    profiler = collector.profiler if collector is not None else HostProfiler()
     with profiler.phase("build"):
         system = build_system(spec)
     injectors, faulted = install_spec_faults(spec, system)
     auditors = attach_auditors(spec, system, mode) if mode is not None else []
+    if collector is not None:
+        system.attach_telemetry(collector)
+        if injectors:
+            from repro.faults import FaultProbe
+
+            collector.add_probe(FaultProbe(list(injectors.values())))
     with profiler.phase("measure"):
         result = system.simulate(
             cycles=spec.cycles,
@@ -209,6 +217,11 @@ def simulate_spec(
             sum(len(a.violations) for a in auditors)
         )
     profiler.count("cycles", spec.cycles + spec.warmup)
+    profiler.count(
+        "packets",
+        system.request_net.stats.packets_delivered
+        + system.reply_net.stats.packets_delivered,
+    )
     # Attach the energy-model output (Fig. 14) while we still hold the system.
     ari_on = "ari" in spec.scheme
     result.extras["energy_per_instr"] = energy_per_work(system, ari_enabled=ari_on)
@@ -218,6 +231,51 @@ def simulate_spec(
     result.extras["sim_wall_s"] = profiler.phase_seconds("measure")  # taint: sanitize(wallclock)
     result.extras["sim_cycles_per_sec"] = profiler.rate("cycles", "measure")  # taint: sanitize(wallclock)
     return result
+
+
+class ReadThrough:
+    """The one read-through caching rule behind every cached run.
+
+    :meth:`get` returns the stored result for a spec, or ``None`` when the
+    spec must be simulated: caching is off, invariant auditing is in
+    ``"raise"`` mode (a cached record proves nothing about invariants, so
+    the run is redone under audit), nothing is stored, or the record
+    predates the result schema (with a warning).  :meth:`put` writes a
+    fresh result back unless caching is off.  ``store=None`` means the
+    process default store.
+    """
+
+    def __init__(
+        self,
+        store: Optional[ResultStore],
+        use_cache: bool = True,
+        check_invariants=None,
+    ):
+        self.store = store if store is not None else default_store()
+        self.use_cache = use_cache
+        self.reads = (
+            use_cache and resolve_invariant_mode(check_invariants) != "raise"
+        )
+
+    def get(self, spec: RunSpec) -> Optional[SimulationResult]:
+        if not self.reads:
+            return None
+        hit = self.store.get(spec.key())
+        if hit is None:
+            return None
+        cached = coerce_record(hit)
+        if cached is None:
+            warnings.warn(
+                f"ignoring legacy-format cache entry for {spec.key()[:12]}; "
+                "re-simulating (run `repro cache --clear` to purge)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return cached
+
+    def put(self, spec: RunSpec, result: SimulationResult) -> None:
+        if self.use_cache:
+            self.store.put(spec.key(), dataclasses.asdict(result))
 
 
 def _run_chunk(payloads: List[dict], check_invariants=None) -> List[dict]:
@@ -296,8 +354,8 @@ class SweepExecutor:
         sample per completion on the ``exec.*`` channels.
     check_invariants:
         Per-cycle flow-control auditing for every run; ``True``/"raise"
-        fails fast, ``"collect"`` records counts, ``None`` defers to
-        :data:`INVARIANTS_ENV`.
+        fails fast (and skips cache reads, see :class:`ReadThrough`),
+        ``"collect"`` records counts, ``None`` defers to :data:`INVARIANTS_ENV`.
     """
 
     def __init__(
@@ -333,7 +391,7 @@ class SweepExecutor:
         )
         if not specs:
             return []
-        store = self.store if self.store is not None else default_store()
+        cache = ReadThrough(self.store, self.use_cache, self.check_invariants)
 
         results: Dict[int, SimulationResult] = {}
         self._done = 0
@@ -355,22 +413,12 @@ class SweepExecutor:
             misses: List[int] = []
             with self.profiler.phase("cache"):
                 for i in unique:
-                    hit = store.get(specs[i].key()) if self.use_cache else None
-                    cached = coerce_record(hit) if hit is not None else None
+                    cached = cache.get(specs[i])
                     if cached is not None:
                         results[i] = cached
                         report.cache_hits += 1
                         self._emit(specs[i], "cache")
                     else:
-                        if hit is not None:
-                            import warnings
-
-                            warnings.warn(
-                                "ignoring legacy-format cache entry for "
-                                f"{specs[i].key()[:12]}; re-simulating",
-                                RuntimeWarning,
-                                stacklevel=2,
-                            )
                         report.cache_misses += 1
                         misses.append(i)
 
@@ -378,8 +426,7 @@ class SweepExecutor:
                 results[i] = result
                 report.executed += 1
                 report.sim_cycles += specs[i].cycles + specs[i].warmup
-                if self.use_cache:
-                    store.put(specs[i].key(), dataclasses.asdict(result))
+                cache.put(specs[i], result)
                 self._emit(specs[i], "run")
 
             if misses:

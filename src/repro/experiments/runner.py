@@ -5,12 +5,11 @@
 :func:`build_system` turns a spec into a ready-to-run
 :class:`~repro.gpu.system.GPGPUSystem`.
 
-Execution moved to :mod:`repro.experiments.api` (cached single runs,
-parallel batches, design-space sweeps) on top of
-:mod:`repro.experiments.executor` and the per-run-file
-:class:`~repro.experiments.store.ResultStore`.  The old entry points —
-``run_system``, ``run_with_telemetry``, ``sweep`` — remain here as thin
-deprecated wrappers for one release.
+Execution lives in :mod:`repro.experiments.api` (cached single runs,
+live telemetry runs, parallel batches, design-space sweeps), which runs
+every spec through :func:`repro.experiments.executor.simulate_spec` and
+caches in the per-run-file
+:class:`~repro.experiments.store.ResultStore`.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ import dataclasses
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional
 
 from repro.core.schemes import Scheme, scheme as get_scheme
 from repro.gpu.config import GPUConfig
@@ -127,66 +125,6 @@ def cache_info() -> Dict[str, object]:
     from repro.experiments.store import default_store
 
     return default_store().info()
-
-
-# -- deprecated wrappers (kept for one release) -----------------------------
-
-def run_system(spec: RunSpec, use_cache: bool = True) -> SimulationResult:
-    """Deprecated: use :func:`repro.experiments.api.run`."""
-    warnings.warn(
-        "run_system() is deprecated; use repro.experiments.api.run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.experiments import api
-
-    return api.run(spec, use_cache=use_cache)
-
-
-def run_with_telemetry(
-    spec: RunSpec,
-    collector=None,
-    interval: int = 100,
-    jsonl_path: Optional[str] = None,
-    csv_path: Optional[str] = None,
-):
-    """Deprecated: use :func:`repro.experiments.api.run_live`.
-
-    Returns ``(result, collector, system)`` like the original.
-    """
-    warnings.warn(
-        "run_with_telemetry() is deprecated; "
-        "use repro.experiments.api.run_live()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.experiments import api
-
-    live = api.run_live(
-        spec,
-        collector=collector,
-        interval=interval,
-        jsonl_path=jsonl_path,
-        csv_path=csv_path,
-    )
-    return live.result, live.collector, live.system
-
-
-def sweep(
-    benchmarks: Sequence[str],
-    schemes: Sequence[str],
-    use_cache: bool = True,
-    **spec_kwargs,
-) -> Dict[str, Dict[str, SimulationResult]]:
-    """Deprecated: use :func:`repro.experiments.api.grid`."""
-    warnings.warn(
-        "runner.sweep() is deprecated; use repro.experiments.api.grid()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.experiments import api
-
-    return api.grid(benchmarks, schemes, use_cache=use_cache, **spec_kwargs)
 
 
 # -- aggregation ------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Cartesian parameter sweeps with CSV export.
+"""Tidy-record export helpers for cartesian parameter sweeps.
 
-The sweep engine itself now lives in :func:`repro.experiments.api.sweep`
-(parallel, cached, retried); this module keeps the tidy-record export
-helpers plus ``cartesian_sweep`` as a deprecated serial wrapper::
+The sweep engine itself lives in :func:`repro.experiments.api.sweep`
+(parallel, cached, retried); this module turns its records into CSV and
+picks the best one::
 
     from repro.experiments.api import sweep
 
@@ -16,47 +16,9 @@ helpers plus ``cartesian_sweep`` as a deprecated serial wrapper::
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
-from repro.experiments.api import DEFAULT_METRICS
 from repro.experiments.report import to_csv
-from repro.experiments.runner import RunSpec
-
-
-def cartesian_sweep(
-    base: RunSpec,
-    axes: Mapping[str, Sequence],
-    metrics: Sequence[str] = DEFAULT_METRICS,
-    use_cache: bool = True,
-    progress=None,
-) -> List[Dict[str, object]]:
-    """Deprecated: use :func:`repro.experiments.api.sweep`.
-
-    Runs serially (``workers=1``) and preserves the original
-    ``progress(i, total, spec)`` callback signature.
-    """
-    warnings.warn(
-        "cartesian_sweep() is deprecated; use repro.experiments.api.sweep()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.experiments import api
-
-    wrapped = None
-    if progress is not None:
-        # api.sweep reports (done, total, spec, source) after each run;
-        # serial order matches grid order, so done-1 is the old index.
-        def wrapped(done, total, spec, source):
-            progress(done - 1, total, spec)
-    return api.sweep(
-        base,
-        axes,
-        metrics=metrics,
-        workers=1,
-        use_cache=use_cache,
-        progress=wrapped,
-    )
 
 
 def records_to_csv(records: Sequence[Mapping[str, object]]) -> str:

@@ -193,6 +193,8 @@ class TelemetryCollector:
         )
         self.profiler = profiler if profiler is not None else HostProfiler()
         self.probes: List[object] = []
+        # The GPGPU system attach_system() instrumented, if any.
+        self.system = None
         self.samples_taken = 0
         self._last_cycle: Optional[int] = None
 
@@ -246,6 +248,7 @@ class TelemetryCollector:
         self.attach_network(system.reply_net, "rep", drive=False)
         self.add_probe(SystemProbe(system))
         system.telemetry = self
+        self.system = system
 
     # -- sampling ------------------------------------------------------------
     def on_cycle(self, now: int) -> None:

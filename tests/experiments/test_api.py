@@ -1,5 +1,5 @@
-"""Tests for the public experiments API (run / run_many / sweep / grid)
-and the deprecated wrappers that sit on top of it."""
+"""Tests for the public experiments API (run / run_live / run_many /
+sweep / grid)."""
 
 import dataclasses
 
@@ -40,12 +40,6 @@ class TestRun:
         assert "energy_per_instr" in r.extras
         assert r.extras["sim_cycles_per_sec"] > 0
 
-    def test_telemetry_bypasses_cache(self, tmp_path):
-        store = ResultStore(str(tmp_path / "s"))
-        r = api.run(BASE, store=store, telemetry=True, interval=20)
-        assert r.instructions > 0
-        assert len(store) == 0
-
 
 class TestRunLive:
     def test_returns_result_collector_system(self):
@@ -61,6 +55,20 @@ class TestRunLive:
         collector = TelemetryCollector(interval=20, sinks=[MemorySink()])
         live = api.run_live(BASE, collector=collector)
         assert live.collector is collector
+
+    def test_result_matches_simulate_spec(self):
+        # One pipeline: a live run's result is the plain run's result
+        # (energy and fault extras included), wall-clock extras aside.
+        from repro.experiments.equivalence import result_payload
+        from repro.experiments.executor import simulate_spec
+
+        live = api.run_live(BASE, interval=20)
+        assert result_payload(live.result) == result_payload(simulate_spec(BASE))
+
+    def test_honours_invariants_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "collect")
+        live = api.run_live(BASE, interval=20)
+        assert live.result.extras["invariant_violations"] == 0.0
 
 
 class TestSweep:
@@ -116,49 +124,6 @@ class TestGrid:
         assert set(out) == {"binomialOptions"}
         assert set(out["binomialOptions"]) == {"xy-baseline", "ada-ari"}
         assert out["binomialOptions"]["ada-ari"].ipc > 0
-
-
-class TestDeprecatedWrappers:
-    def test_run_system_warns_and_delegates(self, tmp_path):
-        from repro.experiments.runner import run_system
-
-        with pytest.warns(DeprecationWarning, match="run_system"):
-            r = run_system(BASE)
-        assert r.instructions > 0
-
-    def test_run_with_telemetry_warns_and_returns_triple(self):
-        from repro.experiments.runner import run_with_telemetry
-
-        with pytest.warns(DeprecationWarning, match="run_with_telemetry"):
-            result, collector, system = run_with_telemetry(BASE, interval=20)
-        assert result.instructions > 0
-        assert collector.samples_taken > 0
-        assert system.mc_nodes
-
-    def test_runner_sweep_warns_and_returns_grid(self):
-        from repro.experiments.runner import sweep as runner_sweep
-
-        with pytest.warns(DeprecationWarning, match="runner.sweep"):
-            out = runner_sweep(
-                ["binomialOptions"], ["xy-baseline"],
-                cycles=80, warmup=20, mesh=4, warps_per_core=4,
-            )
-        assert out["binomialOptions"]["xy-baseline"].ipc > 0
-
-    def test_cartesian_sweep_warns_and_keeps_progress_signature(self):
-        from repro.experiments.sweeps import cartesian_sweep
-
-        seen = []
-        with pytest.warns(DeprecationWarning, match="cartesian_sweep"):
-            records = cartesian_sweep(
-                BASE,
-                axes={"seed": [1, 2]},
-                metrics=("ipc",),
-                use_cache=False,
-                progress=lambda i, n, spec: seen.append((i, n)),
-            )
-        assert len(records) == 2
-        assert seen == [(0, 2), (1, 2)]
 
 
 class TestCheckInvariants:
@@ -255,8 +220,8 @@ class TestKernelField:
         assert build_system(BASE).kernel_name == "activity"
 
     def test_spec_telemetry_routes_through_run(self, tmp_path):
-        # RunSpec.telemetry is the declarative spelling of
-        # run(..., telemetry=True, interval=N): live sampling, no cache.
+        # RunSpec.telemetry routes run() through run_live() with that
+        # sampling interval: live sampling, no cache.
         store = ResultStore(str(tmp_path / "s"))
         spec = dataclasses.replace(BASE, telemetry=20)
         r = api.run(spec, store=store)

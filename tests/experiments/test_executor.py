@@ -127,6 +127,18 @@ class TestCacheAndDedup:
         ex.run_many(_specs(2))
         assert len(store) == 0
 
+    def test_raise_mode_audits_despite_warm_cache(self, tmp_path):
+        # A cached record proves nothing about invariants: a batch asked
+        # to raise on violations re-simulates under audit.
+        from repro.experiments import api
+
+        store = ResultStore(str(tmp_path / "s"))
+        spec = _specs(1)[0]
+        api.run_many([spec], store=store)
+        assert spec.key() in store
+        (result,) = api.run_many([spec], store=store, check_invariants=True)
+        assert "invariant_violations" in result.extras
+
 
 class TestRetry:
     @pytest.mark.parametrize("workers", [1, 2])

@@ -1,53 +1,6 @@
-"""Tests for the cartesian sweep utility."""
+"""Tests for the sweep-record export helpers."""
 
-import pytest
-
-from repro.experiments.runner import RunSpec
-from repro.experiments.sweeps import (
-    best_by,
-    cartesian_sweep,
-    records_to_csv,
-    write_csv,
-)
-
-BASE = RunSpec("binomialOptions", "xy-baseline", cycles=120, warmup=30,
-               mesh=4, warps_per_core=4)
-
-
-class TestCartesianSweep:
-    # cartesian_sweep is a deprecated shim over repro.experiments.api.sweep;
-    # every call warns.  The new API is covered in test_api.py.
-
-    def test_expands_all_combinations(self):
-        with pytest.warns(DeprecationWarning, match="cartesian_sweep"):
-            records = cartesian_sweep(
-                BASE,
-                axes={"num_vcs": [2, 4], "seed": [1, 2]},
-                metrics=("ipc",),
-                use_cache=False,
-            )
-        assert len(records) == 4
-        combos = {(r["num_vcs"], r["seed"]) for r in records}
-        assert combos == {(2, 1), (2, 2), (4, 1), (4, 2)}
-        assert all(r["ipc"] > 0 for r in records)
-        assert all(r["benchmark"] == "binomialOptions" for r in records)
-
-    def test_rejects_unknown_axis(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="unknown RunSpec field"):
-                cartesian_sweep(BASE, axes={"clock_speed": [1]})
-
-    def test_progress_callback(self):
-        seen = []
-        with pytest.warns(DeprecationWarning):
-            cartesian_sweep(
-                BASE,
-                axes={"seed": [1, 2]},
-                metrics=("ipc",),
-                use_cache=False,
-                progress=lambda i, n, spec: seen.append((i, n)),
-            )
-        assert seen == [(0, 2), (1, 2)]
+from repro.experiments.sweeps import best_by, records_to_csv, write_csv
 
 
 class TestExport:
