@@ -95,14 +95,7 @@ def _diff(ref: Dict, act: Dict, prefix: str = "") -> List[str]:
 # -- network-level cases -----------------------------------------------------
 
 def network_snapshot(net) -> Dict[str, object]:
-    """Deep observable state of a network after a run.
-
-    Includes arbitration pointers, so the activity kernel must call
-    ``sync()`` first (done here) to fast-forward sleeping routers.
-    """
-    sync = getattr(net.kernel, "sync", None)
-    if sync is not None:
-        sync(net)
+    """Deep observable state of a network after a run."""
     return {
         "cycles": net.now,
         "summary": net.stats.summary(),

@@ -496,6 +496,7 @@ def fig15_vc_sensitivity(
                 scheme=sch,
                 num_vcs=vcs,
                 injection_speedup=(vcs if "ari" in sch else None),
+                num_split_queues=(vcs if "ari" in sch else None),
                 **budget,
             )
             for bm in bms

@@ -16,15 +16,16 @@ visited each cycle.  Two backends ship:
     only on scheduled wakeups — when an upstream router or NI put flits on
     a link terminating at them.  NIs are live while they hold queued or
     pending packets; ``Network.offer`` re-arms them through the kernel's
-    ``on_offer`` hook.  Credit returns to a sleeping router need *no*
-    wakeup: :meth:`CreditChannel.deliver` flushes everything due at-or-
-    before the wake cycle, and nothing observes a sleeping router's credit
-    counters in between.  Forced work that must happen on schedule — the
+    ``on_offer`` hook.  Credit returns to an idle router need *no*
+    wakeup: its next visit delivers everything due at-or-before that
+    cycle, and nothing observes an idle router's credit counters in
+    between.  Forced work that must happen on schedule — the
     ``sample_interval`` NI occupancy sample, telemetry's ``on_cycle``, the
-    deadlock watchdog — runs every cycle in both kernels.  When a fault
+    deadlock watchdog — runs every cycle in both kernels.  Once a fault
     injector or invariant auditor is installed the kernel falls back to
-    full reference-order visiting (those hooks may mutate or inspect any
-    component on any cycle), so campaigns trade speed for exactness.
+    full reference-order visiting for the rest of the run (those hooks may
+    mutate or inspect any component on any cycle), so campaigns trade
+    speed for exactness.
 
 Selection: ``Network(cfg, kernel="activity")``, or the ``REPRO_KERNEL``
 environment variable when no explicit kernel is given; the default is
@@ -148,15 +149,16 @@ class ActivityKernel(SimKernel):
       links have unit latency); ``Network.offer`` re-arms the NI via
       :meth:`on_offer`;
     * credit channels never schedule wakeups — delivery catches up on the
-      receiver's next wake before anything reads its counters;
+      receiver's next visit before anything reads its counters;
     * per-cycle obligations (NI occupancy sampling every
       ``sample_interval``, telemetry, the deadlock watchdog) run exactly
       as in the reference kernel.
 
-    When ``net.faults`` or ``net.auditor`` is installed the kernel runs
-    full reference cycles instead (those hooks may touch any component on
-    any cycle); it rebuilds its activity sets from network state if the
-    hooks are ever removed again.
+    Once ``net.faults`` or ``net.auditor`` is installed the kernel runs
+    full reference cycles (those hooks may touch any component on any
+    cycle) and keeps doing so for the rest of the run, even if the hooks
+    are removed again: the activity sets are not maintained across
+    reference cycles, so they are never trusted after one.
     """
 
     name = "activity"
@@ -165,11 +167,6 @@ class ActivityKernel(SimKernel):
         self._deadlock_cycles = net.config.deadlock_cycles
         self._sample_interval = net.config.sample_interval
         self._lat = net.config.link_latency
-        # With unit link latency every wakeup (flit arrival, credit
-        # return — CreditChannel latency is fixed at 1) lands exactly one
-        # cycle after its cause, so a visited router *not* in the due set
-        # provably has nothing arriving and skips ingest entirely.
-        self._unit = net.config.link_latency == 1
         topo = net.topology
         neighbors: List[tuple] = []
         adj: Dict[int, List[int]] = {r: [] for r in range(topo.num_routers)}
@@ -182,11 +179,7 @@ class ActivityKernel(SimKernel):
         self._live_nis: Set[int] = set(range(len(net.nis)))
         self._eject_pending: Set[int] = set()
         self._wake: Dict[int, Set[int]] = {}
-        # Routers asleep in a proven stall (no move possible until a
-        # scheduled wakeup): router id -> cycle the stall was detected.
-        # Their VA pointers are fast-forwarded on wake (see _flush/_visit).
-        self._stalled: Dict[int, int] = {}
-        self._dirty = False
+        self._fallback = False
         self._reference = ReferenceKernel()
         self._reference.bind(net)
         net._on_offer = self.on_offer
@@ -194,75 +187,20 @@ class ActivityKernel(SimKernel):
     def on_offer(self, node: int) -> None:
         self._live_nis.add(node)
 
-    def sync(self, net) -> None:
-        """Catch sleeping routers up with skipped-cycle bookkeeping.
-
-        While a router sleeps in a proven stall the reference pipeline
-        would still rotate its VA round-robin pointer once per occupied
-        cycle; the rotation is applied arithmetically here.  Called before
-        any reference-order processing (fault/auditor fallback) and by the
-        equivalence harness before diffing internal state.
-        """
-        stalled = self._stalled
-        if not stalled:
-            return
-        now = net.now
-        routers = net.routers
-        for r, t0 in stalled.items():
-            missed = now - t0 - 1
-            if missed > 0:
-                router = routers[r]
-                router._va_rr = (router._va_rr + missed) % router.num_inputs
-        stalled.clear()
-
-    # -- cold-start / fallback-exit rescan --------------------------------
-    def _rescan(self, net) -> None:
-        """Rebuild activity sets and the wake agenda from network state."""
-        self.sync(net)
-        now = net.now
-        self._live = {
-            r for r, router in enumerate(net.routers) if router.occupancy()
-        }
-        self._live_nis = {
-            i for i, ni in enumerate(net.nis) if ni.has_work()
-        }
-        self._eject_pending = {
-            r for r, link in enumerate(net.ejection_links) if link.in_flight
-        }
-        wake: Dict[int, Set[int]] = {}
-        for r, router in enumerate(net.routers):
-            for link in router.input_links:
-                if link is None:
-                    continue
-                # SplitNI wiring bundles several links into a composite.
-                parts = getattr(link, "links", None)
-                for part in parts if parts is not None else (link,):
-                    for t in part.pending_arrivals():
-                        when = t if t > now else now
-                        w = wake.get(when)
-                        if w is None:
-                            wake[when] = w = set()
-                        w.add(r)
-        self._wake = wake
-        self._dirty = False
-
     # -- the gated cycle ---------------------------------------------------
     def cycle(self, net) -> None:
-        if net.faults is not None or net.auditor is not None:
+        if self._fallback or net.faults is not None or net.auditor is not None:
             # Fault injectors mutate arbitrary components on schedule and
             # auditors inspect every router each cycle: both need the full
             # reference visiting order.  Correctness beats speed here.
-            self.sync(net)
+            self._fallback = True
             self._reference.cycle(net)  # kernel: fallback
-            self._dirty = True
             return
-        if self._dirty:
-            self._rescan(net)
         now = net.now
         wake = self._wake
-        # Almost every wakeup targets the next cycle (unit link/credit
-        # latency); keep that set in a local and register it once at the
-        # end instead of paying a dict lookup per scheduling site.
+        # Almost every wakeup targets the next cycle (unit link latency);
+        # keep that set in a local and register it once at the end
+        # instead of paying a dict lookup per scheduling site.
         nxt = now + 1
         due_next = wake.get(nxt)
         if due_next is None:
@@ -287,61 +225,25 @@ class ActivityKernel(SimKernel):
         if due:
             visit = sorted(due | live)
         elif live:
-            due = ()
             visit = sorted(live)
         else:
-            due = ()
             visit = ()
         if visit:
             routers = net.routers
             lat = self._lat
-            unit = self._unit
             eject = self._eject_pending
             neighbors = self._neighbors
-            stalled = self._stalled
             for r in visit:
                 router = routers[r]
-                if stalled:
-                    t0 = stalled.pop(r, None)
-                    if t0 is not None:
-                        # Reference would have rotated the VA pointer once
-                        # per occupied (slept) cycle; catch up in O(1).
-                        missed = now - t0 - 1
-                        if missed > 0:
-                            router._va_rr = (
-                                router._va_rr + missed
-                            ) % router.num_inputs
-                # A router outside the due set provably has no flit or
-                # credit landing this cycle (unit latency: every cause one
-                # cycle earlier scheduled a wakeup), so skip ingest.
-                m = router.step_fast(now, not unit or r in due)
+                m = router.step_fast(now)
                 if router._occ:
-                    if m == 0 and router._stall_ok:
-                        # Proven stall: nothing can move until a wakeup.
-                        # Arrival wakeups are scheduled by senders; credits
-                        # already in flight get their delivery cycles
-                        # scheduled here, and credits sent later wake the
-                        # sleeper from the mover's branch below.
-                        stalled[r] = now
-                        live.discard(r)
-                        for q, _c in router._fast_wiring[0]:
-                            for entry in q:
-                                tq = entry[0]
-                                if tq == nxt:
-                                    due_next.add(r)
-                                    continue
-                                w = wake.get(tq)
-                                if w is None:
-                                    wake[tq] = w = set()
-                                w.add(r)
-                    else:
-                        live.add(r)
+                    live.add(r)
                 else:
                     live.discard(r)
                 if m:
                     moved += m
                     eject.add(r)
-                    if unit:
+                    if lat == 1:
                         due_next.update(neighbors[r])
                     else:
                         t = now + lat
@@ -349,13 +251,6 @@ class ActivityKernel(SimKernel):
                         if w is None:
                             wake[t] = w = set()
                         w.update(neighbors[r])
-                        if stalled:
-                            # Credit returns ride upstream with unit
-                            # latency; sleeping upstream routers must see
-                            # them land.
-                            for nb in neighbors[r]:
-                                if nb in stalled:
-                                    due_next.add(nb)
         if due_next:
             wake[nxt] = due_next
 

@@ -61,14 +61,6 @@ class Link:
     def in_flight(self) -> int:
         return len(self._pipe)
 
-    def pending_arrivals(self) -> Tuple[int, ...]:
-        """Arrival cycles of flits currently on the wire (soonest first).
-
-        Used by the activity-gated kernel to schedule receiver wakeups
-        when it (re)builds its wake agenda from a cold network snapshot.
-        """
-        return tuple(entry[0] for entry in self._pipe)
-
     def utilization(self, elapsed_cycles: int) -> float:
         """Average flits per cycle carried over ``elapsed_cycles``."""
         if elapsed_cycles <= 0:

@@ -150,15 +150,8 @@ class Router:
         self._vc_order = tuple(range(1, num_vcs)) + (0,)
         # Wiring tables for step_fast(); built lazily once links exist.
         # Activity-kernel bookkeeping, invisible to the reference
-        # pipeline by design.  # kernel: private(Router._fast_wiring, Router._stall_ok)
+        # pipeline by design.  # kernel: private(Router._fast_wiring)
         self._fast_wiring = None
-        # Set by step_fast() on a zero-move cycle: True when every blocked
-        # resource unblocks only through events the activity kernel already
-        # schedules wakeups for (flit arrivals, credit returns), so the
-        # kernel may skip this router until the next wakeup.  A closed
-        # ejection gate reopens on external ejector drain — no wakeup
-        # exists for that, so it forces False.
-        self._stall_ok = True
 
         # Optional backpressure gate on the ejection (LOCAL) output; wired
         # by the network to the attached ejection interface's buffer state.
@@ -491,7 +484,7 @@ class Router:
         self._fast_wiring = wiring
         return wiring
 
-    def step_fast(self, now: int, ingest: bool = True) -> int:
+    def step_fast(self, now: int) -> int:
         """Byte-identical fast equivalent of :meth:`step`.
 
         Same state evolution, arbitration outcomes and statistics as the
@@ -510,82 +503,79 @@ class Router:
         routing_state = VCState.ROUTING
         active_state = VCState.ACTIVE
 
-        if ingest:
-            # -- credit delivery (matches _deliver_credits) ---------------
-            for q, credits in credited:
-                if q and q[0][0] <= now:
-                    counts = credits.counts
-                    cap = credits.capacity
-                    while q and q[0][0] <= now:
-                        v = q.popleft()[1]
-                        if counts[v] >= cap:
-                            raise RuntimeError(f"credit overflow on vc {v}")
-                        counts[v] += 1
-                        credits.total += 1
+        # -- credit delivery (matches _deliver_credits) -------------------
+        for q, credits in credited:
+            if q and q[0][0] <= now:
+                counts = credits.counts
+                cap = credits.capacity
+                while q and q[0][0] <= now:
+                    v = q.popleft()[1]
+                    if counts[v] >= cap:
+                        raise RuntimeError(f"credit overflow on vc {v}")
+                    counts[v] += 1
+                    credits.total += 1
 
-            # -- ingest (matches _ingest) ---------------------------------
-            occ_add = 0
-            on_hop = self.on_hop
-            for port, link, pipe in inputs:
-                if pipe is not None:
-                    if not pipe or pipe[0][0] > now:
-                        continue
-                    arr = []
-                    while pipe and pipe[0][0] <= now:
-                        arr.append(pipe.popleft()[1])
-                else:
-                    arr = link.arrivals(now)
-                    if not arr:
-                        continue
-                vcs = port.vcs
-                is_inj = port.is_injection
-                cnt = 0
-                for flit in arr:
-                    vc = flit.out_vc
-                    if vc is None:
-                        raise RuntimeError(
-                            "arriving flit has no VC assignment"
-                        )
+        # -- ingest (matches _ingest) -------------------------------------
+        occ_add = 0
+        on_hop = self.on_hop
+        for port, link, pipe in inputs:
+            if pipe is not None:
+                if not pipe or pipe[0][0] > now:
+                    continue
+                arr = []
+                while pipe and pipe[0][0] <= now:
+                    arr.append(pipe.popleft()[1])
+            else:
+                arr = link.arrivals(now)
+                if not arr:
+                    continue
+            vcs = port.vcs
+            is_inj = port.is_injection
+            cnt = 0
+            for flit in arr:
+                vc = flit.out_vc
+                if vc is None:
+                    raise RuntimeError("arriving flit has no VC assignment")
+                if flit.is_head:
+                    pkt = flit.packet
+                    if not is_inj and pkt.priority > 0:
+                        pkt.priority -= 1
+                        self.priority_decays += 1
+                    if pkt.injected_at is None:
+                        pkt.injected_at = now
+                    if on_hop is not None:
+                        on_hop(self.router_id, pkt, now)
+                flit.out_port = None
+                flit.out_vc = None
+                # Inlined VirtualChannel.push (same transitions/raises).
+                vcq = vcs[vc]
+                fifo = vcq.fifo
+                if vcq.capacity - len(fifo) <= 0:
+                    raise RuntimeError(f"VC {vc} overflow")
+                flit.vc = vc
+                # Space was reserved upstream by the credit the sender
+                # consumed; the overflow raise above is an assertion,
+                # not flow control.
+                fifo.append(flit)  # proto: allow(proto-push-guard)
+                if len(fifo) == 1:
+                    vcq.wait_since = now
                     if flit.is_head:
-                        pkt = flit.packet
-                        if not is_inj and pkt.priority > 0:
-                            pkt.priority -= 1
-                            self.priority_decays += 1
-                        if pkt.injected_at is None:
-                            pkt.injected_at = now
-                        if on_hop is not None:
-                            on_hop(self.router_id, pkt, now)
-                    flit.out_port = None
-                    flit.out_vc = None
-                    # Inlined VirtualChannel.push (same transitions/raises).
-                    vcq = vcs[vc]
-                    fifo = vcq.fifo
-                    if vcq.capacity - len(fifo) <= 0:
-                        raise RuntimeError(f"VC {vc} overflow")
-                    flit.vc = vc
-                    # Space was reserved upstream by the credit the sender
-                    # consumed; the overflow raise above is an assertion,
-                    # not flow control.
-                    fifo.append(flit)  # proto: allow(proto-push-guard)
-                    if len(fifo) == 1:
-                        vcq.wait_since = now
-                        if flit.is_head:
-                            if (
-                                vcq.state is not active_state
-                                or vcq.out_port is None
-                            ):
-                                vcq.state = routing_state
-                        else:
-                            if vcq.out_port is None:
-                                raise RuntimeError(
-                                    "body flit at VC front without a route"
-                                )
-                            vcq.state = active_state
-                    cnt += 1
-                port.occ += cnt
-                occ_add += cnt
-            if occ_add:
-                self._occ += occ_add
+                        if (
+                            vcq.state is not active_state
+                            or vcq.out_port is None
+                        ):
+                            vcq.state = routing_state
+                    else:
+                        if vcq.out_port is None:
+                            raise RuntimeError(
+                                "body flit at VC front without a route"
+                            )
+                        vcq.state = active_state
+                cnt += 1
+            port.occ += cnt
+            occ_add += cnt
+        if occ_add:
+            self._occ += occ_add
         if self._occ == 0:
             return 0
 
@@ -612,7 +602,6 @@ class Router:
         bid_ports: List[int] = []      # ports with bids, first-bid order
         port_bids: List[Optional[list]] = [None] * n_in
         injection_bids = False
-        stall_ok = True
         i = start - n_in
         while i < start:
             port = ports[i]
@@ -640,7 +629,6 @@ class Router:
                     if ejection_open is None:
                         ejection_open = gate()
                     if not ejection_open:
-                        stall_ok = False
                         continue
                 prio = vcobj.fifo[0].packet.priority if prio_on else 0
                 if blist is None:
@@ -651,7 +639,6 @@ class Router:
                         injection_bids = True
                 blist.append((vcobj.index, out_port, prio))
         if not bid_ports:
-            self._stall_ok = stall_ok
             return 0
 
         # Starvation demotion (matches _collect_bids): only observable when
@@ -957,23 +944,11 @@ class Router:
         outs = self.output_ports
         routing = self.routing
         if routing.adaptive and len(candidates) > 1:
-            if len(candidates) == 2:
-                a, b = candidates
-                oa = outs[a]
-                ob = outs[b]
-                ca = oa.credits if oa is not None else None
-                cb = ob.credits if ob is not None else None
-                fa = -1 if oa is None else (1 << 20) if ca is None else ca.total
-                fb = -1 if ob is None else (1 << 20) if cb is None else cb.total
-                # sorted() is stable: reorder only on a strict win.
-                if fb > fa:
-                    candidates = (b, a)
-            else:
-                candidates = sorted(
-                    candidates,
-                    key=lambda p: -(outs[p].free_credit_total()
-                                    if outs[p] is not None else -1),
-                )
+            candidates = sorted(
+                candidates,
+                key=lambda p: -(outs[p].free_credit_total()
+                                if outs[p] is not None else -1),
+            )
         escape = vc.escape if vc.escape is not None else LOCAL
         size = pkt.size
         for out_port in candidates:

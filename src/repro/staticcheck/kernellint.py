@@ -26,7 +26,7 @@ Annotation vocabulary (source comments, checked by this pass):
 
 ``# kernel: private(pat, ...)``
     Component state owned by the activity kernel's bookkeeping (wiring
-    tables, stall markers); exempt from ``kernel-state-untracked``.
+    tables); exempt from ``kernel-state-untracked``.
 
 ``# kernel: unreached``  (on a call line)
     This reference-side call is provably not part of the gated fast

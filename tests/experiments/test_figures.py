@@ -82,6 +82,11 @@ class TestDrivers:
         _check_shape(r)
         assert r["rows"]["bfs"]["baseline"] == 1.0
 
+    # Every cell must pass the static checks without a warning; the
+    # 2VC-ARI cells need as many VCs as split queues.
+    @pytest.mark.filterwarnings(
+        "error::repro.staticcheck.StaticCheckWarning"
+    )
     def test_fig15(self):
         r = figures.fig15_vc_sensitivity("smoke", benchmarks=BMS)
         _check_shape(r)

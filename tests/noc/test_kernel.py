@@ -101,6 +101,37 @@ class TestNetworkEquivalence:
                 == _run_network_case("activity", **kwargs)
             ), ni_kind
 
+    def test_auditor_removed_mid_run_matches(self):
+        # An auditor forces reference cycles; once it is uninstalled the
+        # activity kernel must not resume from stale activity sets.
+        from repro.noc.topology import default_placement
+        from repro.noc.validation import InvariantChecker
+        from repro.workloads.traffic import (
+            ReplyTrafficPattern,
+            SyntheticTrafficGenerator,
+        )
+
+        mcs, ccs = default_placement(4, 4, 4)
+        snaps = []
+        for kernel in ("reference", "activity"):
+            net = Network(
+                NetworkConfig(
+                    width=4, height=4, routing="adaptive",
+                    accelerated_nodes=set(mcs),
+                ),
+                kernel=kernel,
+            )
+            gen = SyntheticTrafficGenerator(
+                net, ReplyTrafficPattern(mcs, ccs, seed=2), rate=0.25, seed=3
+            )
+            gen.run(150)
+            net.auditor = InvariantChecker(net)
+            gen.run(100)
+            net.auditor = None
+            gen.run(250)
+            snaps.append(network_snapshot(net))
+        assert snaps[0] == snaps[1]
+
     def test_idle_network_stays_idle_and_identical(self):
         snaps = []
         for kernel in ("reference", "activity"):
@@ -117,9 +148,9 @@ class TestNetworkEquivalence:
         orig_fast = Router.step_fast
         orig_step = Router.step
 
-        def count_fast(self, now, ingest=True):
+        def count_fast(self, now):
             calls["fast"] += 1
-            return orig_fast(self, now, ingest)
+            return orig_fast(self, now)
 
         def count_step(self, now):
             calls["ref"] += 1
