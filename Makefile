@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test check flowcheck kernellint taintlint bench figures figures-paper telemetry-demo sweep-demo faults-demo search-demo kernel-demo kernel-equiv perfwatch perfwatch-demo clean-cache loc help
+.PHONY: install test check flowcheck kernellint taintlint bench figures figures-paper telemetry-demo sweep-demo faults-demo search-demo kernel-demo kernel-equiv cost clean-cache loc help
 
 help:
 	@echo "make install        editable install"
@@ -20,8 +20,7 @@ help:
 	@echo "make search-demo    design-space exploration: strategies vs the ARI default"
 	@echo "make kernel-demo    reference vs activity kernel: same results, speedup"
 	@echo "make kernel-equiv   CI's kernel-equiv job: byte-identity grid"
-	@echo "make perfwatch      CI's perfwatch job: smoke benches -> ingest -> gate"
-	@echo "make perfwatch-demo inject a synthetic regression and watch it flagged"
+	@echo "make cost           exact per-layer opcode counts vs the pinned table"
 	@echo "make clean-cache    drop the simulation result cache"
 	@echo "make loc            count lines of code"
 
@@ -104,24 +103,11 @@ kernel-demo:
 kernel-equiv:
 	PYTHONPATH=src $(PY) -m repro check --kernel-equiv
 
-# Mirrors CI's `perfwatch` job: regenerate the three KPI bench tables
-# (timers off), ingest them into the append-only perf ledger, then gate
-# on regressions vs the rolling baseline and render the trend report.
-perfwatch:
-	$(PY) -m pytest -q --benchmark-disable \
-		benchmarks/bench_simulator_speed.py \
-		benchmarks/bench_parallel_sweep.py \
-		benchmarks/bench_fault_degradation.py \
-		benchmarks/bench_search.py
-	PYTHONPATH=src $(PY) -m repro perfwatch ingest
-	PYTHONPATH=src $(PY) -m repro perfwatch check --strict --json -
-	PYTHONPATH=src $(PY) -m repro perfwatch report
-
-# End-to-end detector demo on a throwaway ledger: fabricate a healthy
-# history, halve one KPI at the head, and show the error finding with
-# its baseline band and changed-axis attribution.
-perfwatch-demo:
-	PYTHONPATH=src $(PY) examples/perfwatch_demo.py
+# The host-cost gate (part of CI's `benches` job): exact per-layer opcode
+# and C-call counts of fixed runs vs results/bench_tables/BENCH_cost.json.
+# Re-pin after an intended change with `python benchmarks/bench_cost.py --update`.
+cost:
+	PYTHONPATH=src $(PY) -m pytest -q benchmarks/bench_cost.py
 
 clean-cache:
 	rm -rf results/cache results/cache.json

@@ -1,72 +1,18 @@
-"""Shared emitter for ``results/bench_tables/BENCH_*.json`` artifacts.
-
-Every bench that persists a machine-readable table goes through
-:func:`write_bench_json`, which wraps the measurements in the stamped
-perfwatch envelope (schema version, UTC timestamp, git SHA, seed, host
-info, config axes — see :mod:`repro.perfwatch.schema`).  Benches that
-merge into an existing table (e.g. per-scenario best rates) read the
-previous measurements back with :func:`load_bench_data`, which unwraps
-envelopes and still accepts the bare pre-envelope dicts.
-"""
+"""Writer for the ``results/bench_tables/BENCH_*.json`` artifacts."""
 
 import json
 import os
-from typing import Mapping, Optional
-
-from repro.perfwatch import schema
 
 TABLES_DIR = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "results", "bench_tables")
 )
 
 
-def bench_path(bench: str) -> str:
-    """Canonical artifact path for a bench name."""
-    return os.path.join(TABLES_DIR, f"BENCH_{bench}.json")
-
-
-def bench_name(path: str) -> str:
-    """``.../BENCH_simulator_speed.json`` -> ``simulator_speed``."""
-    base = os.path.basename(path)
-    if base.startswith("BENCH_"):
-        base = base[len("BENCH_"):]
-    if base.endswith(".json"):
-        base = base[: -len(".json")]
-    return base
-
-
-def load_bench_data(path: str) -> dict:
-    """The measurement dict of an existing artifact; ``{}`` when absent.
-
-    Unwraps the stamped envelope; bare legacy dicts come back as-is, so
-    merge-style benches survive the format migration transparently.
-    """
-    if not os.path.exists(path):
-        return {}
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return {}
-    if schema.is_envelope(payload):
-        return dict(payload["data"])
-    return payload if isinstance(payload, dict) else {}
-
-
-def write_bench_json(
-    path: str,
-    data: Mapping,
-    *,
-    seed: Optional[int] = None,
-    config: Optional[Mapping] = None,
-) -> str:
-    """Write ``data`` at ``path`` inside a freshly stamped envelope."""
-    path = os.path.abspath(path)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    envelope = schema.bench_envelope(
-        bench_name(path), data, seed=seed, config=config
-    )
+def write_bench_json(bench: str, data: dict) -> str:
+    """Write ``data`` to ``BENCH_<bench>.json``, keys sorted; returns the path."""
+    path = os.path.join(TABLES_DIR, f"BENCH_{bench}.json")
+    os.makedirs(TABLES_DIR, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(envelope, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path

@@ -14,15 +14,8 @@ deadlock-free and violation-free with detour routing, and latency never
 *improves* when links die.
 """
 
-import os
-
 import _emit
 from repro.faults import CampaignConfig, run_campaign
-
-DEGRADATION_JSON = os.path.join(
-    os.path.dirname(__file__), "..", "results", "bench_tables",
-    "BENCH_fault_degradation.json",
-)
 
 CONFIG = CampaignConfig(
     benchmark="bfs",
@@ -43,11 +36,7 @@ def test_fault_degradation_campaign(benchmark, save_table):
         lambda: run_campaign(CONFIG, use_cache=False), rounds=1, iterations=1
     )
 
-    _emit.write_bench_json(
-        os.path.abspath(DEGRADATION_JSON),
-        report.to_dict(),
-        seed=CONFIG.seeds[0],
-    )
+    _emit.write_bench_json("fault_degradation", report.to_dict())
 
     zero_cells = [r for r in report.rows if r["dead_links"] == 0]
     fault_cells = [r for r in report.rows if r["dead_links"] > 0]

@@ -19,11 +19,6 @@ import _emit
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.runner import RunSpec
 
-SWEEP_JSON = os.path.join(
-    os.path.dirname(__file__), "..", "results", "bench_tables",
-    "BENCH_parallel_sweep.json",
-)
-
 BUDGET = dict(cycles=400, warmup=150, mesh=4, warps_per_core=4)
 GRID_RUNS = 16
 PARALLEL_WORKERS = min(4, os.cpu_count() or 1)
@@ -69,6 +64,7 @@ def test_parallel_sweep_throughput(benchmark, save_table):
         else 0.0
     )
     payload = {
+        "config": dict(BUDGET),
         "host_cpus": os.cpu_count() or 1,
         "grid_runs": GRID_RUNS,
         "sim_cycles_per_run": BUDGET["cycles"] + BUDGET["warmup"],
@@ -86,9 +82,7 @@ def test_parallel_sweep_throughput(benchmark, save_table):
         },
         "speedup": speedup,
     }
-    _emit.write_bench_json(
-        os.path.abspath(SWEEP_JSON), payload, config=dict(BUDGET)
-    )
+    _emit.write_bench_json("parallel_sweep", payload)
 
     save_table(
         "parallel_sweep",

@@ -13,16 +13,9 @@ fraction must be 1.0 and its scores byte-identical — determinism and
 cache accounting are asserted, not assumed.
 """
 
-import os
-
 import _emit
 from repro.experiments.runner import RunSpec
 from repro.search import Optimizer, SearchConfig, SearchSpace, parse_objective
-
-SEARCH_JSON = os.path.join(
-    os.path.dirname(__file__), "..", "results", "bench_tables",
-    "BENCH_search.json",
-)
 
 BUDGET = 24
 BATCH = 8
@@ -87,6 +80,8 @@ def test_search_throughput(benchmark, save_table):
 
     cold_phase, warm_phase = _phase(cold), _phase(warm)
     payload = {
+        "config": {**BASE, "batch": BATCH, "strategy": "hillclimb",
+                   "objective": "min:reply_latency"},
         "budget": BUDGET,
         "space_points": _config().space.size,
         "evaluated": cold.evaluated,
@@ -97,11 +92,7 @@ def test_search_throughput(benchmark, save_table):
         "baseline_objective": cold.baseline_score,
         **_best_curve(cold),
     }
-    _emit.write_bench_json(
-        os.path.abspath(SEARCH_JSON), payload,
-        config={**BASE, "budget": BUDGET, "batch": BATCH,
-                "strategy": "hillclimb", "objective": "min:reply_latency"},
-    )
+    _emit.write_bench_json("search", payload)
 
     save_table(
         "search",

@@ -24,9 +24,10 @@ Usage::
     python -m repro check --scheme ada-ari --faults link:r7.E@100 \\
         --json - [--strict] [--rule cdg-cycle]   # one config, JSON out
     python -m repro check --code src/repro       # determinism lint
-    python -m repro perfwatch ingest             # bench tables -> KPI ledger
-    python -m repro perfwatch check --strict     # perf regression gate
-    python -m repro perfwatch report             # sparkline trend report
+
+The simulator's host cost is gated outside the CLI: ``make cost`` runs
+``benchmarks/bench_cost.py``, which compares exact per-layer opcode
+counts with a pinned table.
 """
 
 from __future__ import annotations
@@ -546,12 +547,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_perfwatch(args: argparse.Namespace) -> int:
-    from repro.perfwatch.cli import cmd_perfwatch
-
-    return cmd_perfwatch(args)
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
     from repro.search.cli import cmd_search
 
@@ -778,10 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
              "'full'",
     )
 
-    from repro.perfwatch.cli import add_perfwatch_parser
     from repro.search.cli import add_search_parser
 
-    add_perfwatch_parser(sub)
     add_search_parser(sub)
     return p
 
@@ -800,7 +793,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "telemetry": _cmd_telemetry,
         "faults": _cmd_faults,
         "check": _cmd_check,
-        "perfwatch": _cmd_perfwatch,
         "search": _cmd_search,
     }
     return handlers[args.command](args)

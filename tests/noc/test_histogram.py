@@ -81,8 +81,8 @@ class TestPercentiles:
         assert h.p50 <= h.p95 <= h.p99
 
     def test_empty_percentiles_are_none(self):
-        """No samples -> no percentiles; a fake 0.0 would poison the
-        perfwatch KPI series built from these summaries."""
+        """No samples -> no percentiles; a fake 0.0 would poison every
+        mean or trend computed from these summaries."""
         h = LatencyHistogram()
         assert h.p50 is None
         assert h.p95 is None
