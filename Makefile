@@ -2,14 +2,13 @@
 
 PY ?= python
 
-.PHONY: install test check flowcheck kernellint taintlint bench figures figures-paper telemetry-demo sweep-demo faults-demo search-demo kernel-demo kernel-equiv cost clean-cache loc help
+.PHONY: install test check flowcheck taintlint bench figures figures-paper telemetry-demo sweep-demo faults-demo search-demo cost clean-cache loc help
 
 help:
 	@echo "make install        editable install"
 	@echo "make test           full unit/integration/property suite"
 	@echo "make check          static model checks + code lints (+ ruff if installed)"
 	@echo "make flowcheck      CI's repro-check job: model checks + all code lints, strict"
-	@echo "make kernellint     just the kernel-soundness prover (byte-identity contract)"
 	@echo "make taintlint      just the taint provers (cache-key soundness, zero overhead)"
 	@echo "make bench          regenerate every figure at CI scale"
 	@echo "make figures        regenerate figures at quick scale (9 benchmarks)"
@@ -18,8 +17,6 @@ help:
 	@echo "make sweep-demo     parallel design-space sweep across 2 workers"
 	@echo "make faults-demo    degradation campaign: dead links, detour routing"
 	@echo "make search-demo    design-space exploration: strategies vs the ARI default"
-	@echo "make kernel-demo    reference vs activity kernel: same results, speedup"
-	@echo "make kernel-equiv   CI's kernel-equiv job: byte-identity grid"
 	@echo "make cost           exact per-layer opcode counts vs the pinned table"
 	@echo "make clean-cache    drop the simulation result cache"
 	@echo "make loc            count lines of code"
@@ -38,18 +35,10 @@ check:
 
 # Mirrors CI's `repro-check` job exactly: the pre-run model checks for
 # every registered scheme, then all code lints (determinism, unit
-# inference, credit conservation, pool captures, kernel soundness,
-# taint provers) strict against the committed staticcheck-baseline.json.
+# inference, credit conservation, pool captures, taint provers) strict against the committed staticcheck-baseline.json.
 flowcheck:
 	PYTHONPATH=src $(PY) -m repro check --all-schemes --json -
 	PYTHONPATH=src $(PY) -m repro check --code src/repro --strict --json -
-
-# Just the kernel-soundness prover: the reference/activity byte-identity
-# contract, checked interprocedurally over the shared call graph.
-kernellint:
-	PYTHONPATH=src $(PY) -m repro check --code src/repro --no-baseline \
-		--rule kernel-skip-unsound --rule kernel-wake-unscheduled \
-		--rule kernel-state-untracked --strict
 
 # Just the taint provers: cache-key soundness, the zero-overhead
 # contract for disabled telemetry/fault subsystems, and environmental
@@ -93,15 +82,6 @@ faults-demo:
 # the result store and the trial ledger.
 search-demo:
 	PYTHONPATH=src $(PY) examples/search_demo.py
-
-# Same spec through both simulation kernels: prints per-kernel wall
-# time, the speedup, and a digest proving the results are identical.
-kernel-demo:
-	PYTHONPATH=src $(PY) examples/kernel_demo.py
-
-# Mirrors CI's `kernel-equiv` job: the quick byte-identity grid.
-kernel-equiv:
-	PYTHONPATH=src $(PY) -m repro check --kernel-equiv
 
 # The host-cost gate (part of CI's `benches` job): exact per-layer opcode
 # and C-call counts of fixed runs vs results/bench_tables/BENCH_cost.json.

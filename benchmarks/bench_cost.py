@@ -5,10 +5,10 @@ so they cannot gate a 5% slowdown.  This bench counts instead.  It runs a
 fixed set of simulations and records, for each, every bytecode
 instruction executed (``sys.settrace`` opcode events) and every call into
 C (``sys.setprofile`` ``c_call`` events), folded by the module of the
-code that ran them: ``noc.router``, ``noc.kernel``, ``gpu.core`` and so
+code that ran them: ``noc.router``, ``noc.network``, ``gpu.core`` and so
 on, the layer names of ``BENCHMARK.json``; code outside ``repro`` is
 ``other``.  It also records router visits and allocation attempts as
-call counts of ``Router.step``/``step_fast`` and ``_try_allocate*``.
+call counts of ``Router.step`` and ``Router._try_allocate``.
 
 Each simulation runs in a fresh interpreter with a fixed hash seed, so
 the counts repeat exactly and the gate is equality with the table pinned
@@ -45,7 +45,6 @@ PY = f"{sys.version_info.major}.{sys.version_info.minor}"
 
 SEED = 3
 HASH_SEED = "0"
-KERNELS = ("reference", "activity")
 WORKERS = 2
 
 # The benchmark's workloads (benchmarks/e2e/workloads.py) with their
@@ -62,7 +61,7 @@ TINY = "noc-tiny"
 
 # -- measuring (runs in the child interpreter) --------------------------------
 
-def _simulation(case: str, kernel: str):
+def _simulation(case: str):
     """A no-argument callable that runs one case's simulation."""
     if case == TINY:
         from repro.noc import Network, NetworkConfig
@@ -76,7 +75,6 @@ def _simulation(case: str, kernel: str):
         net = Network(
             NetworkConfig(width=4, height=4, routing="adaptive",
                           accelerated_nodes=set(mcs)),
-            kernel=kernel,
         )
         gen = SyntheticTrafficGenerator(
             net, ReplyTrafficPattern(mcs, ccs, seed=SEED), rate=0.2,
@@ -92,10 +90,10 @@ def _simulation(case: str, kernel: str):
     if isinstance(workload, workloads.NocRamp):
         def ramp():
             for rate in workload.rates:
-                _, gen = workload.build(SEED, rate, kernel)
+                _, gen = workload.build(SEED, rate, None)
                 gen.run(workload.cycles)
         return ramp
-    spec = workload.spec(SEED, kernel)
+    spec = workload.spec(SEED, None)
     return lambda: executor.simulate_spec(spec)
 
 
@@ -160,41 +158,40 @@ def count(run, package_dir: str) -> dict:
     return {
         "opcodes": fold(opcodes),
         "c_calls": fold(c_calls),
-        "router_visits": router_calls("step", "step_fast"),
-        "alloc_attempts": router_calls("_try_allocate", "_try_allocate_fast"),
+        "router_visits": router_calls("step"),
+        "alloc_attempts": router_calls("_try_allocate"),
     }
 
 
-def _child(case: str, kernel: str, src: str) -> None:
+def _child(case: str, src: str) -> None:
     sys.path.insert(0, src)
     import repro  # before workloads.py, which puts this checkout's src first
 
-    run = _simulation(case, kernel)
+    run = _simulation(case)
     print(json.dumps(count(run, os.path.dirname(repro.__file__))))
 
 
 # -- running and comparing (the parent) ---------------------------------------
 
-def measure(case: str, kernel: str, src: str = SRC, hash_seed: str = HASH_SEED) -> dict:
+def measure(case: str, src: str = SRC, hash_seed: str = HASH_SEED) -> dict:
     """One case's row, counted in a fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONHASHSEED"] = hash_seed
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child", case, kernel,
+        [sys.executable, os.path.abspath(__file__), "--child", case,
          os.path.abspath(src)],
         env=env, capture_output=True, text=True, check=False,
     )
     if proc.returncode != 0:
-        raise RuntimeError(f"{case}/{kernel} failed:\n{proc.stderr}")
+        raise RuntimeError(f"{case} failed:\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def measure_all() -> dict:
-    """Every pinned case under both kernels, ``WORKERS`` at a time."""
-    keys = [(case, kernel) for case in CASES for kernel in KERNELS]
+    """Every pinned case, ``WORKERS`` at a time."""
     with concurrent.futures.ThreadPoolExecutor(WORKERS) as pool:
-        rows = list(pool.map(lambda key: measure(*key), keys))
-    return {f"{case}/{kernel}": row for (case, kernel), row in zip(keys, rows)}
+        rows = list(pool.map(measure, CASES))
+    return dict(zip(CASES, rows))
 
 
 def _flat(row: dict) -> dict:
@@ -256,14 +253,14 @@ def test_counts_match_pinned_table():
     )
 
 
-def _add_noop_to_step_fast(router_py: str) -> None:
-    """Insert a no-op statement as the first statement of ``step_fast``."""
+def _add_noop_to_router_step(router_py: str) -> None:
+    """Insert a no-op statement as the first statement of ``Router.step``."""
     with open(router_py) as fh:
         lines = fh.read().splitlines(keepends=True)
     tree = ast.parse("".join(lines))
     fn = next(
         node for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "step_fast"
+        if isinstance(node, ast.FunctionDef) and node.name == "step"
     )
     first = fn.body[1]  # body[0] is the docstring
     lines.insert(first.lineno - 1, " " * first.col_offset + "now = now\n")
@@ -277,20 +274,16 @@ def test_seeded_regression_is_caught_and_named(tmp_path):
         os.path.join(SRC, "repro"), copy / "repro",
         ignore=shutil.ignore_patterns("__pycache__"),
     )
-    _add_noop_to_step_fast(str(copy / "repro" / "noc" / "router.py"))
-    key = f"{TINY}/activity"
-    lines = diff(
-        {key: measure(TINY, "activity")},
-        {key: measure(TINY, "activity", src=str(copy))},
-    )
+    _add_noop_to_router_step(str(copy / "repro" / "noc" / "router.py"))
+    lines = diff({TINY: measure(TINY)}, {TINY: measure(TINY, src=str(copy))})
     assert lines
-    assert all(line.startswith(key) for line in lines), lines
+    assert all(line.startswith(TINY) for line in lines), lines
     assert any("opcodes[noc.router]" in line for line in lines), lines
 
 
 def test_counts_independent_of_hash_seed():
-    one = measure(TINY, "activity", hash_seed="1")
-    two = measure(TINY, "activity", hash_seed="2")
+    one = measure(TINY, hash_seed="1")
+    two = measure(TINY, hash_seed="2")
     assert diff({TINY: one}, {TINY: two}) == []
 
 
@@ -298,7 +291,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--update", action="store_true",
                     help=f"re-pin the Python {PY} table in {TABLE}")
-    ap.add_argument("--child", nargs=3, metavar=("CASE", "KERNEL", "SRC"),
+    ap.add_argument("--child", nargs=2, metavar=("CASE", "SRC"),
                     help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:

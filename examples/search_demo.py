@@ -32,9 +32,7 @@ from repro.search import (
     parse_objective,
 )
 
-BASE = RunSpec(
-    "bfs", "ada-ari", cycles=300, warmup=75, mesh=4, kernel="activity"
-)
+BASE = RunSpec("bfs", "ada-ari", cycles=300, warmup=75, mesh=4)
 BUDGET = 16
 OBJECTIVE = "min:reply_latency"
 

@@ -3,8 +3,7 @@
 Usage::
 
     python -m repro list                         # benchmarks + schemes
-    python -m repro run bfs ada-ari [--cycles N] [--mesh 6] [--seed S] \\
-        [--kernel activity]                      # fast-path kernel backend
+    python -m repro run bfs ada-ari [--cycles N] [--mesh 6] [--seed S]
     python -m repro compare bfs [--cycles N]     # all 5 main schemes
     python -m repro figure fig11 [--scale quick] [--workers N]
     python -m repro sweep bfs ada-ari --axis num_vcs=2,4 \\
@@ -19,8 +18,6 @@ Usage::
     python -m repro faults --benchmark bfs --dead-links 0,1,2 \\
         --workers 2 [--json report.json]         # degradation campaign
     python -m repro check --all-schemes          # pre-run static checks
-    python -m repro check --kernel-equiv         # reference vs activity
-                                                 # kernel, byte-for-byte
     python -m repro check --scheme ada-ari --faults link:r7.E@100 \\
         --json - [--strict] [--rule cdg-cycle]   # one config, JSON out
     python -m repro check --code src/repro       # determinism lint
@@ -79,7 +76,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         warmup=args.cycles // 4,
         seed=args.seed,
         mesh=args.mesh,
-        kernel=args.kernel,
     )
     res = run(spec, use_cache=not args.no_cache)
     _print_result(res)
@@ -95,8 +91,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             warmup=args.cycles // 4,
             seed=args.seed,
             mesh=args.mesh,
-            kernel=args.kernel,
-        )
+            )
         for sch in MAIN_SCHEMES
     ]
     results = run_many(
@@ -145,7 +140,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         warmup=args.cycles // 4,
         seed=args.seed,
         mesh=args.mesh,
-        kernel=args.kernel,
     )
     total = 1
     for values in axes.values():
@@ -275,7 +269,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         warmup=args.cycles // 4,
         seed=args.seed,
         mesh=args.mesh,
-        kernel=args.kernel,
     )
     live = run_live(
         spec,
@@ -356,8 +349,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             check_invariants=(
                 None if args.invariants == "off" else args.invariants
             ),
-            kernel=args.kernel,
-            axes=axes,
+                axes=axes,
         )
     except SpecGridError as exc:
         raise SystemExit(str(exc))
@@ -392,7 +384,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    import dataclasses
     import json
 
     from repro.staticcheck import CheckRunner, ModelInputs, Severity
@@ -403,34 +394,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         for rid, (family, desc) in sorted(RULES.items()):
             print(f"{rid:{width}s}  [{family:5s}] {desc}")
         return 0
-
-    if args.kernel_equiv is not None:
-        from repro.experiments.equivalence import run_equivalence
-
-        def progress(case):
-            mark = "ok  " if case.ok else "FAIL"
-            print(f"  {mark} {case.name}", flush=True)
-
-        print(f"kernel-equivalence grid ({args.kernel_equiv}):")
-        report = run_equivalence(
-            quick=args.kernel_equiv == "quick",
-            progress=None if args.quiet else progress,
-        )
-        print()
-        print(report.render())
-        if args.json is not None:
-            payload = {
-                "cases": [dataclasses.asdict(c) for c in report.cases],
-                "failed": not report.ok,
-            }
-            text = json.dumps(payload, indent=2)
-            if args.json == "-":
-                print(text)
-            else:
-                with open(args.json, "w") as fh:
-                    fh.write(text + "\n")
-                print(f"wrote {args.json}")
-        return 0 if report.ok else 1
 
     TAINT_RULES = ["cachekey-unsound", "overhead-not-free", "det-taint"]
     rules = list(args.rule)
@@ -595,11 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mesh", type=int, default=6, choices=(4, 6, 8))
         sp.add_argument("--seed", type=int, default=3)
         sp.add_argument("--no-cache", action="store_true")
-        sp.add_argument(
-            "--kernel", default=None, choices=("reference", "activity"),
-            help="simulation kernel backend (default: REPRO_KERNEL env "
-                 "var, then 'reference'); results are byte-identical",
-        )
 
     cache = sub.add_parser("cache", help="result-store info")
     cache.add_argument("--clear", action="store_true",
@@ -612,11 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     viz.add_argument("--mesh", type=int, default=6, choices=(4, 6, 8))
     viz.add_argument("--seed", type=int, default=3)
 
-    fig = sub.add_parser(
-        "figure",
-        help="regenerate one paper figure (set REPRO_KERNEL=activity to "
-             "run its grid on the fast kernel)",
-    )
+    fig = sub.add_parser("figure", help="regenerate one paper figure")
     fig.add_argument("name")
     fig.add_argument("--scale", default="quick", choices=sorted(figures.SCALES))
     fig.add_argument("--workers", type=int, default=None,
@@ -646,11 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the sample stream as JSONL")
     tel.add_argument("--csv", default=None,
                      help="write the sample stream as CSV")
-    tel.add_argument(
-        "--kernel", default=None, choices=("reference", "activity"),
-        help="simulation kernel backend (telemetry sampling runs on "
-             "schedule in both)",
-    )
 
     flt = sub.add_parser(
         "faults",
@@ -693,11 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     flt.add_argument("--describe", default=None, metavar="PLAN",
                      help="explain a fault-plan DSL string and exit")
     flt.add_argument(
-        "--kernel", default=None, choices=("reference", "activity"),
-        help="simulation kernel backend for every campaign cell "
-             "(faulted cells fall back to reference-order visiting)",
-    )
-    flt.add_argument(
         "--axis", action="append", default=[], metavar="name=v1,v2",
         help="extra RunSpec axis applied to every cell (cartesian, "
              "aggregated per row like extra seeds); repeatable — same "
@@ -734,8 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="analyze faulted epochs without detour routing")
     chk.add_argument(
         "--code", action="append", default=[], metavar="PATH",
-        help="run the code lints (det/unit/proto/pool plus the "
-             "kernel-soundness prover) over these files/dirs; repeatable",
+        help="run the code lints (det/unit/proto/pool/flow) over these "
+             "files/dirs; repeatable",
     )
     chk.add_argument(
         "--baseline", default=None, metavar="FILE",
@@ -765,13 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="hide info-severity findings in text output")
     chk.add_argument("--list-rules", action="store_true",
                      help="print the rule catalog and exit")
-    chk.add_argument(
-        "--kernel-equiv", nargs="?", const="quick",
-        choices=("quick", "full"), default=None, metavar="DEPTH",
-        help="run the kernel-equivalence grid (reference vs activity, "
-             "byte-for-byte) and exit; DEPTH is 'quick' (default) or "
-             "'full'",
-    )
 
     from repro.search.cli import add_search_parser
 

@@ -24,6 +24,7 @@ from typing import Dict, Iterable, Optional
 from repro.core.schemes import Scheme, scheme as get_scheme
 from repro.gpu.config import GPUConfig
 from repro.gpu.system import GPGPUSystem, SimulationResult
+from repro.noc.kernel import resolve_kernel
 from repro.workloads.suite import benchmark as get_benchmark
 
 
@@ -51,8 +52,8 @@ class RunSpec:
     # loaded at all); fault_detour toggles detour routing for faulted runs.
     faults: Optional[str] = None
     fault_detour: Optional[bool] = None
-    # Simulation kernel backend ("reference"/"activity", see
-    # repro.noc.kernel); None defers to the REPRO_KERNEL env var.
+    # Kernel name ("reference"/"activity", see repro.noc.kernel).  Both
+    # names run the same advance loop; the name is only validated.
     kernel: Optional[str] = None
     # Telemetry sampling interval in cycles.  A set value routes
     # api.run() through run_live() — the run is live and never cached.
@@ -65,8 +66,8 @@ class RunSpec:
         for name in ("faults", "fault_detour", "telemetry"):
             if payload[name] is None:
                 del payload[name]
-        # Kernels are byte-identical by contract (the kernel-equivalence
-        # suite enforces it), so the backend never partitions the cache.
+        # Both kernel names run the same loop, so the name never
+        # partitions the cache.
         del payload["kernel"]
         blob = json.dumps(payload, sort_keys=True)
         return hashlib.sha1(blob.encode()).hexdigest()[:20]
@@ -97,6 +98,7 @@ def build_system(spec: RunSpec) -> GPGPUSystem:
     if spec.noc_hop_latency is not None:
         overrides["noc_hop_latency"] = spec.noc_hop_latency
     config = GPUConfig.scaled(spec.mesh, **overrides)
+    resolve_kernel(spec.kernel)  # a misspelt name still fails loudly
     return GPGPUSystem(
         config,
         _build_scheme(spec),
@@ -104,10 +106,6 @@ def build_system(spec: RunSpec) -> GPGPUSystem:
         seed=spec.seed,
         ni_queue_flits=spec.ni_queue_flits,
         num_vcs=spec.num_vcs,
-        # Key-irrelevant by construction: kernel selection is proven
-        # byte-equivalent by the kernellint rules plus the kernel
-        # equivalence suite, so the cached payload cannot depend on it.
-        kernel=spec.kernel,  # taint: sanitize(spec.kernel)
     )
 
 

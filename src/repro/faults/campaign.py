@@ -40,10 +40,6 @@ class CampaignConfig:
     duration: Optional[int] = None  # None = permanent faults
     detour: bool = True
     check_invariants: Optional[str] = "collect"
-    # Simulation kernel backend for every cell (see repro.noc.kernel).
-    # Faulted cells fall back to reference-order visiting internally, so
-    # this mainly speeds up the zero-fault baseline cells.
-    kernel: Optional[str] = None
     # Extra RunSpec axes (name, values) applied as a cartesian product to
     # every cell; axis points aggregate into their (scheme, dead_links)
     # row exactly like extra seeds.  Parsed from repeated ``--axis``
@@ -140,7 +136,6 @@ class CampaignRunner:
                             fault_detour=(
                                 cfg.detour if faults is not None else None
                             ),
-                            kernel=cfg.kernel,
                         )
                         kwargs.update(combo)  # axis values win
                         out.append((scheme, n_dead, seed, RunSpec(**kwargs)))

@@ -9,11 +9,6 @@ flow-control invariant (credits, writer locks, WPF non-interleaving)
 intact across fault and repair events, which the
 :class:`~repro.noc.validation.InvariantChecker` verifies during campaigns.
 
-An installed injector also pins the simulation kernel: while any fault
-epoch is active the activity kernel (:mod:`repro.noc.kernel`) falls back
-to reference-order visiting for the cycle, so fault campaigns are always
-cycle-exact regardless of ``kernel=``.
-
 Mechanisms:
 
 * **Dead links** enter :class:`FaultState`; route lookups made through
@@ -205,6 +200,9 @@ class FaultInjector:
             self.network.routing = wrapped
             for router in self.network.routers:
                 router.routing = wrapped
+                # Router.step folds the routing class into its cached
+                # wiring tables; rebuild them for the wrapper.
+                router._wiring = None
         self.network.faults = self
         self._installed = True
         return self

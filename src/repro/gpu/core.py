@@ -78,7 +78,7 @@ class Core:
         self._pending_instr: List[Optional[tuple]] = [None] * config.warps_per_core
         self.outbound: Deque[MemRequest] = deque()
         self.stats = CoreStats()
-        # Activity-kernel stall/idle memo (see step_core_cycle_fast):
+        # Stall/idle memo (see step_core_cycle):
         # (wake_at, epoch, stalled) — valid while now < wake_at and no
         # issue-relevant event has bumped the epoch.
         self._issue_epoch = 0
@@ -89,24 +89,6 @@ class Core:
         self._memo_stalls = type(self.scheduler) is GTOScheduler
 
     # ------------------------------------------------------------------
-    def step_core_cycle(self, now: int) -> None:
-        """One core-clock cycle of issue logic (``now`` is in NoC cycles)."""
-        self.stats.core_cycles += 1
-        warp = self.scheduler.pick(now)
-        if warp is None:
-            self.stats.idle_cycles += 1
-            return
-        instr = self._pending_instr[warp.wid]
-        if instr is None:
-            instr = self.streams[warp.wid].next()
-            self._pending_instr[warp.wid] = instr
-        if self._try_issue(warp, instr, now):
-            self._pending_instr[warp.wid] = None
-        else:
-            self.stats.struct_stall_cycles += 1
-            self.scheduler.on_stall()
-
-    # -- activity-kernel fast path --------------------------------------
     def _pipeline_wake(self) -> int:
         """First cycle a PIPELINE warp matures; a huge sentinel if none."""
         wake = 1 << 60
@@ -116,19 +98,20 @@ class Core:
                 wake = w.ready_at
         return wake
 
-    def step_core_cycle_fast(self, now: int) -> None:
-        """Byte-identical :meth:`step_core_cycle`, memoizing dead cycles.
+    def step_core_cycle(self, now: int) -> None:
+        """One core-clock cycle of issue logic (``now`` is in NoC cycles).
 
-        A cycle that ends idle (no ready warp) or structurally stalled
-        (ready warp, infeasible instruction) changes nothing but two stat
-        counters, and its outcome repeats every cycle until (a) a reply
-        arrives, (b) the outbound queue drains, or (c) a PIPELINE warp
-        matures — the only events that change warp readiness or issue
-        feasibility.  (a)/(b) bump ``_issue_epoch``; (c) is a known cycle
-        recorded at memo time.  While the memo holds, the reference path
-        would have re-derived the identical idle/stall verdict with no
-        other side effects (the scheduler scan converts no warp states on
-        such cycles), so counting the cycle is all that's left to do.
+        Dead cycles are memoized.  A cycle that ends idle (no ready warp)
+        or structurally stalled (ready warp, infeasible instruction)
+        changes nothing but two stat counters, and its outcome repeats
+        every cycle until (a) a reply arrives, (b) the outbound queue
+        drains, or (c) a PIPELINE warp matures — the only events that
+        change warp readiness or issue feasibility.  (a)/(b) bump
+        ``_issue_epoch``; (c) is a known cycle recorded at memo time.
+        While the memo holds, a full pick would re-derive the identical
+        idle/stall verdict with no other side effects (the scheduler scan
+        converts no warp states on such cycles), so counting the cycle is
+        all that's left to do.
         Stall memoization additionally requires the GTO scheduler, whose
         post-stall re-pick is deterministic; LRR rotates between ready
         warps and may reach an issuable one, so only idle cycles are
@@ -169,8 +152,8 @@ class Core:
                 # an older warp is ready (it was greedily bypassed this
                 # cycle), its instruction gets its own issue attempt and
                 # the cycle cannot be memoized.  The age-order scan
-                # below touches exactly the prefix the reference pick()
-                # would scan next cycle.
+                # below touches exactly the prefix pick() would scan
+                # next cycle.
                 finished = WarpState.FINISHED
                 for w in self.scheduler.warps:
                     if w.state is finished:
@@ -183,6 +166,9 @@ class Core:
                                 True,
                             )
                         break
+
+    # The frozen benchmark (benchmarks/e2e) looks this name up on every core.
+    step_core_cycle_fast = step_core_cycle
 
     def _try_issue(self, warp: Warp, instr: tuple, now: int) -> bool:
         kind, lines = instr

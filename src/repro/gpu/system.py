@@ -17,7 +17,6 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.core import Core
 from repro.gpu.mc import MemoryController
 from repro.noc.flit import Packet, PacketType, packet_size_for
-from repro.noc.kernel import resolve_kernel
 from repro.noc.network import Network, NetworkConfig
 from repro.noc.routing import hop_count
 from repro.noc.topology import default_placement
@@ -59,15 +58,11 @@ class GPGPUSystem:
         seed: int = 1,
         ni_queue_flits: Optional[int] = None,
         num_vcs: Optional[int] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         self.config = config
         self.scheme = scheme
         self.profile = profile
         self.seed = seed
-        # Simulation kernel backend: forwarded to both NoCs, and selects
-        # the activity-gated core stepping (see repro.noc.kernel).
-        self.kernel_name = resolve_kernel(kernel)
         num_vcs = num_vcs if num_vcs is not None else config.num_vcs
         ni_flits = (
             ni_queue_flits if ni_queue_flits is not None else config.ni_queue_flits
@@ -143,7 +138,7 @@ class GPGPUSystem:
             priority_levels=ari.priority_levels,
             starvation_threshold=ari.starvation_threshold,
         )
-        self.request_net = Network(request_cfg, kernel=self.kernel_name)
+        self.request_net = Network(request_cfg)
         if scheme.reply_overlay == "da2mesh":
             from repro.noc.da2mesh import DA2MeshReplyNetwork
 
@@ -153,10 +148,9 @@ class GPGPUSystem:
                 ni_mode="split" if ari.supply else "single",
                 ni_queue_flits=ni_flits,
                 num_split_queues=split_queues,
-                kernel=self.kernel_name,
             )
         else:
-            self.reply_net = Network(reply_cfg, kernel=self.kernel_name)
+            self.reply_net = Network(reply_cfg)
 
         # Cores on CC nodes.
         self.cores: List[Core] = [
@@ -189,7 +183,6 @@ class GPGPUSystem:
         self.reply_net.on_delivery = self._on_reply_delivery
 
         self._core_clock_acc = 0.0
-        self._fast_cores = self.kernel_name == "activity"
         self.now = 0
         # Opt-in periodic sampling (repro.telemetry); None = untracked hot
         # path, a single comparison per cycle.
@@ -269,16 +262,10 @@ class GPGPUSystem:
     def step(self) -> None:
         now = self.now
         self._core_clock_acc += self.config.core_clock_ratio
-        if self._fast_cores:
-            while self._core_clock_acc >= 1.0:
-                self._core_clock_acc -= 1.0
-                for core in self.cores:
-                    core.step_core_cycle_fast(now)
-        else:
-            while self._core_clock_acc >= 1.0:
-                self._core_clock_acc -= 1.0
-                for core in self.cores:
-                    core.step_core_cycle(now)
+        while self._core_clock_acc >= 1.0:
+            self._core_clock_acc -= 1.0
+            for core in self.cores:
+                core.step_core_cycle(now)
         self._drain_core_requests()
         for mc in self.mcs:
             mc.step(now)

@@ -13,14 +13,7 @@ The central entry point is :class:`repro.noc.network.Network`, built from a
 from repro.noc.buffer import InputPort, VirtualChannel
 from repro.noc.flit import Flit, Packet, PacketType
 from repro.noc.histogram import LatencyHistogram
-from repro.noc.kernel import (
-    KERNELS,
-    ActivityKernel,
-    ReferenceKernel,
-    SimKernel,
-    make_kernel,
-    resolve_kernel,
-)
+from repro.noc.kernel import KERNELS, resolve_kernel
 from repro.noc.link import Link
 from repro.noc.network import Network, NetworkConfig
 from repro.noc.ni import BaselineNI, EnhancedNI, MultiPortNI, NIKind, SplitNI, make_ni
@@ -52,11 +45,7 @@ __all__ = [
     "Network",
     "NetworkConfig",
     "NetworkStats",
-    "SimKernel",
-    "ReferenceKernel",
-    "ActivityKernel",
     "KERNELS",
-    "make_kernel",
     "resolve_kernel",
     "LatencyHistogram",
     "PacketTracer",

@@ -1,30 +1,31 @@
-"""Separable input-first allocators with priority-aware arbitration.
+"""State of the separable input-first switch allocator.
 
-The paper's configuration (Table I) uses a separable input-first allocator.
-Two pieces are provided:
+The paper's configuration (Table I) uses a separable input-first allocator:
 
-* :class:`RoundRobinArbiter` — a classic rotating-priority arbiter used for
-  fairness among equal-priority requesters.
-* :class:`SwitchAllocator` — the two-stage separable allocation:
+1. *input stage*: each input port selects which of its ready VCs bid for
+   the crossbar this cycle.  Ordinary ports select one VC; an injection
+   port with crossbar speedup ``S`` (ARI, Sec. 4.2) may select up to ``S``
+   VCs targeting *distinct* output ports.
+2. *output stage*: each output port grants one of the bidding inputs.
 
-  1. *input stage*: each input port selects which of its ready VCs bid for
-     the crossbar this cycle.  Ordinary ports select one VC; an injection
-     port with crossbar speedup ``S`` (ARI, Sec. 4.2) may select up to ``S``
-     VCs targeting *distinct* output ports.
-  2. *output stage*: each output port grants one of the bidding inputs.
-
-  Both stages compare the ARI priority field first (Sec. 5) and break ties
-  round-robin, so the multi-level prioritization composes naturally with
-  the base allocator.
+Both stages compare the ARI priority field first (Sec. 5) and break ties
+round-robin.  The arbitration itself runs inline in
+:meth:`repro.noc.router.Router.step`; this module holds the per-router
+state it reads and writes: one :class:`RoundRobinArbiter` pointer per
+input and per output, and the per-input speedups.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional
 
 
 class RoundRobinArbiter:
-    """Rotating-priority arbiter over ``size`` requesters."""
+    """Rotating-priority pointer over ``size`` requesters.
+
+    ``_next`` is the requester that wins the next tie; a grant moves it
+    just past the winner.
+    """
 
     __slots__ = ("size", "_next")
 
@@ -34,63 +35,9 @@ class RoundRobinArbiter:
         self.size = size
         self._next = 0
 
-    def grant(self, requests: Sequence[bool]) -> Optional[int]:
-        """Grant one of the asserted requests, rotating after each grant."""
-        if len(requests) != self.size:
-            raise ValueError("request vector size mismatch")
-        for off in range(self.size):
-            idx = (self._next + off) % self.size
-            if requests[idx]:
-                self._next = (idx + 1) % self.size
-                return idx
-        return None
-
-    def grant_prioritized(
-        self, requests: Sequence[Optional[int]]
-    ) -> Optional[int]:
-        """Grant among requesters carrying integer priorities.
-
-        ``requests[i]`` is ``None`` if requester *i* is idle, otherwise its
-        priority (higher wins).  Ties break round-robin from the arbiter
-        pointer; the pointer only advances past the granted requester.
-        """
-        if len(requests) != self.size:
-            raise ValueError("request vector size mismatch")
-        best_idx: Optional[int] = None
-        best_prio = -1
-        for off in range(self.size):
-            idx = (self._next + off) % self.size
-            prio = requests[idx]
-            if prio is None:
-                continue
-            if prio > best_prio:
-                best_prio = prio
-                best_idx = idx
-        if best_idx is not None:
-            self._next = (best_idx + 1) % self.size
-        return best_idx
-
-
-class Bid:
-    """One switch-allocation request from (input port, VC) to an output."""
-
-    __slots__ = ("in_port", "vc", "out_port", "priority")
-
-    def __init__(self, in_port: int, vc: int, out_port: int, priority: int) -> None:
-        self.in_port = in_port
-        self.vc = vc
-        self.out_port = out_port
-        self.priority = priority
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"Bid(p{self.in_port}.vc{self.vc} -> out{self.out_port}, "
-            f"prio={self.priority})"
-        )
-
 
 class SwitchAllocator:
-    """Two-stage separable input-first switch allocator.
+    """Arbiters and speedups of one router's two-stage switch allocator.
 
     Parameters
     ----------
@@ -117,70 +64,3 @@ class SwitchAllocator:
         self.speedups = dict(speedups or {})
         self._input_arbiters = [RoundRobinArbiter(num_vcs) for _ in range(num_in)]
         self._output_arbiters = [RoundRobinArbiter(num_in) for _ in range(num_out)]
-
-    def speedup_of(self, in_port: int) -> int:
-        return self.speedups.get(in_port, 1)
-
-    # ------------------------------------------------------------------
-    def allocate(self, bids: Iterable[Bid]) -> List[Bid]:
-        """Resolve one cycle of switch allocation; returns the winning bids.
-
-        Guarantees:
-        * each input port wins at most ``speedup`` grants, on distinct
-          output ports;
-        * each output port grants at most one input;
-        * higher :attr:`Bid.priority` wins at both stages, ties round-robin.
-        """
-        by_input: Dict[int, List[Bid]] = {}
-        for bid in bids:
-            if not (0 <= bid.in_port < self.num_in):
-                raise ValueError(f"bad input port {bid.in_port}")
-            if not (0 <= bid.out_port < self.num_out):
-                raise ValueError(f"bad output port {bid.out_port}")
-            by_input.setdefault(bid.in_port, []).append(bid)
-
-        # -- stage 1: input selection ---------------------------------
-        stage1: List[Bid] = []
-        for in_port, port_bids in by_input.items():
-            budget = self.speedup_of(in_port)
-            arb = self._input_arbiters[in_port]
-            chosen_outs: set = set()
-            remaining = list(port_bids)
-            for _ in range(budget):
-                # Build a per-VC request vector (highest-priority bid per VC).
-                vec: List[Optional[int]] = [None] * self.num_vcs
-                vc_bid: Dict[int, Bid] = {}
-                for b in remaining:
-                    if b.out_port in chosen_outs:
-                        continue
-                    cur = vec[b.vc]
-                    if cur is None or b.priority > cur:
-                        vec[b.vc] = b.priority
-                        vc_bid[b.vc] = b
-                win_vc = arb.grant_prioritized(vec)
-                if win_vc is None:
-                    break
-                winner = vc_bid[win_vc]
-                stage1.append(winner)
-                chosen_outs.add(winner.out_port)
-                remaining = [b for b in remaining if b.vc != win_vc]
-
-        # -- stage 2: output arbitration -------------------------------
-        by_output: Dict[int, List[Bid]] = {}
-        for bid in stage1:
-            by_output.setdefault(bid.out_port, []).append(bid)
-
-        winners: List[Bid] = []
-        for out_port, port_bids in by_output.items():
-            arb = self._output_arbiters[out_port]
-            vec: List[Optional[int]] = [None] * self.num_in
-            in_bid: Dict[int, Bid] = {}
-            for b in port_bids:
-                cur = vec[b.in_port]
-                if cur is None or b.priority > cur:
-                    vec[b.in_port] = b.priority
-                    in_bid[b.in_port] = b
-            win_in = arb.grant_prioritized(vec)
-            if win_in is not None:
-                winners.append(in_bid[win_in])
-        return winners

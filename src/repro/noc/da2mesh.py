@@ -50,16 +50,9 @@ class DA2MeshReplyNetwork:
         ni_mode: str = "single",    # "single" (baseline) or "split" (ARI)
         ni_queue_flits: int = 36,
         num_split_queues: int = 4,
-        kernel: Optional[str] = None,
     ) -> None:
         if ni_mode not in ("single", "split"):
             raise ValueError("ni_mode must be 'single' or 'split'")
-        # Constructor uniformity with Network: the overlay has no router
-        # loop to gate, so the kernel choice is validated and recorded
-        # but every backend advances it the same way.
-        from repro.noc.kernel import resolve_kernel
-
-        self.kernel_name = resolve_kernel(kernel)
         self.mc_nodes = list(mc_nodes)
         self.num_nodes = num_nodes
         self.num_lanes = num_lanes

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.noc.credit import CreditChannel
 from repro.noc.flit import Packet
-from repro.noc.kernel import SimKernel, make_kernel, resolve_kernel
+from repro.noc.kernel import resolve_kernel
 from repro.noc.link import Link
 from repro.noc.ni import (
     EjectionInterface,
@@ -155,13 +155,10 @@ class Network:
         self.auditor = None
         self._last_progress = 0
 
-        # Per-cycle advance loop backend (see repro.noc.kernel).  The
-        # kernel may install `_on_offer` during bind() to learn about NI
-        # re-arms; None (the reference kernel) keeps offer() hook-free.
-        self.kernel_name = resolve_kernel(kernel)
-        self._on_offer: Optional[Callable[[int], None]] = None
-        self.kernel: SimKernel = make_kernel(self.kernel_name)
-        self.kernel.bind(self)
+        self._deadlock_cycles = config.deadlock_cycles
+        self._sample_interval = config.sample_interval
+        # Both kernel names select the one advance loop in step().
+        resolve_kernel(kernel)
 
     # ------------------------------------------------------------------
     def _wire_mesh(self) -> None:
@@ -246,7 +243,7 @@ class Network:
         self, router: Router, port: int, links: List[Link]
     ) -> None:
         """SplitNI: several narrow links terminate on one injection port."""
-        # Router._ingest walks input_links[port]; store a composite.
+        # Router.step reads input_links[port]; store a composite.
         router.input_links[port] = _CompositeLink(links)
         router.credit_out[port] = None
 
@@ -284,29 +281,58 @@ class Network:
         if ok:
             packet.created_at = self.now
             self.stats.on_offer()
-            h = self._on_offer
-            if h is not None:
-                h(node)
         return ok
 
     def can_accept(self, node: int, packet: Packet) -> bool:
         return self.nis[node].can_accept(packet)
 
     def step(self) -> None:
-        """Advance one cycle; the visiting order lives in the kernel."""
-        self.kernel.cycle(self)
-
-    def _no_progress(self, now: int) -> None:
-        """Watchdog trip (called by kernels): in-flight traffic stalled."""
-        raise DeadlockError(
-            f"no progress for {now - self._last_progress} cycles with "
-            f"{self.stats.in_flight} packets in flight"
-        )
+        """Advance one cycle: every NI, router and ejection link, in index order."""
+        now = self.now
+        f = self.faults
+        if f is not None:
+            # Apply scheduled fault/repair events *before* anything moves
+            # this cycle, so routers never allocate into a freshly dead
+            # resource within the same cycle.
+            f.on_cycle(now)
+        sent = 0
+        for ni in self.nis:
+            sent += ni.step(now)
+        moved = 0
+        for router in self.routers:
+            moved += router.step(now)
+        ejectors = self.ejectors
+        for r, link in enumerate(self.ejection_links):
+            ejector = ejectors[r]
+            for flit in link.arrivals(now):
+                ejector.receive_flit(flit, now)
+        if moved or sent:
+            self._last_progress = now
+        if (
+            self.stats.in_flight > 0
+            and now - self._last_progress > self._deadlock_cycles
+        ):
+            raise DeadlockError(
+                f"no progress for {now - self._last_progress} cycles with "
+                f"{self.stats.in_flight} packets in flight"
+            )
+        if now % self._sample_interval == 0:
+            for ni in self.nis:
+                ni.sample()
+        a = self.auditor
+        if a is not None:
+            # End-of-cycle audit: every router/NI has settled, so the
+            # flow-control invariants must hold exactly here.
+            a.on_cycle(now)
+        t = self.telemetry
+        if t is not None:
+            t.on_cycle(now)
+        self.now = now + 1
+        self.stats.cycles = self.now
 
     def run(self, cycles: int) -> None:
-        cyc = self.kernel.cycle
         for _ in range(cycles):
-            cyc(self)
+            self.step()
 
     def set_hop_hook(
         self, fn: Optional[Callable[[int, Packet, int], None]]
@@ -385,14 +411,9 @@ class PerfectNetwork:
     perfect consumption side, how fast do MCs hand packets to the network?
     """
 
-    def __init__(
-        self, config: NetworkConfig, kernel: Optional[str] = None
-    ) -> None:
-        # `kernel` is accepted for constructor uniformity with Network but
-        # ignored: the perfect network has no per-component advance loop.
+    def __init__(self, config: NetworkConfig) -> None:
         config.validate()
         self.config = config
-        self.kernel_name = resolve_kernel(kernel)
         self.topology = MeshTopology(config.width, config.height)
         self.now = 0
         self.stats = NetworkStats()

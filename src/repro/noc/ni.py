@@ -147,15 +147,6 @@ class InjectionInterface:
         """
         raise NotImplementedError
 
-    def has_work(self) -> bool:
-        """True while the NI could still make progress on a future cycle.
-
-        The activity-gated kernel drops an NI from its live set as soon
-        as this goes False; anything that re-arms the NI (a new offer)
-        must flow through :meth:`Network.offer` so the kernel sees it.
-        """
-        return self.queued_flits() > 0
-
     # -- stats -------------------------------------------------------------
     def queued_flits(self) -> int:
         raise NotImplementedError
@@ -304,9 +295,6 @@ class BaselineNI(_SingleQueueNI):
 
     def queued_packets(self) -> int:
         return self._queued_packets + (1 if self._pending else 0)
-
-    def has_work(self) -> bool:
-        return self._pending is not None or bool(self.queue)
 
 
 class EnhancedNI(_SingleQueueNI):

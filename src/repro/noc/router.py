@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.noc.allocator import Bid, SwitchAllocator
+from repro.noc.allocator import SwitchAllocator
 from repro.noc.buffer import InputPort, VCState, VirtualChannel
 from repro.noc.credit import CreditChannel, CreditCounter
 from repro.noc.link import Link
@@ -146,12 +146,11 @@ class Router:
         # VA fairness rotation.
         self._va_rr = 0
 
-        # Prefer adaptive VCs, escape VC 0 last (shared by both pipelines).
+        # Prefer adaptive VCs, escape VC 0 last.
         self._vc_order = tuple(range(1, num_vcs)) + (0,)
-        # Wiring tables for step_fast(); built lazily once links exist.
-        # Activity-kernel bookkeeping, invisible to the reference
-        # pipeline by design.  # kernel: private(Router._fast_wiring)
-        self._fast_wiring = None
+        # Wiring tables for step(); built lazily once links exist, and
+        # dropped (set to None) whenever the wiring or routing changes.
+        self._wiring = None
 
         # Optional backpressure gate on the ejection (LOCAL) output; wired
         # by the network to the attached ejection interface's buffer state.
@@ -208,166 +207,13 @@ class Router:
     def occupancy(self) -> int:
         return self._occ
 
-    def _ingest(self, now: int) -> None:
-        """Pull arriving flits off input links into their target VCs."""
-        for port_idx, link in enumerate(self.input_links):
-            if link is None:
-                continue
-            for flit in link.arrivals(now):
-                vc = flit.out_vc
-                if vc is None:
-                    raise RuntimeError("arriving flit has no VC assignment")
-                port = self.input_ports[port_idx]
-                if flit.is_head:
-                    if not port.is_injection:
-                        # ARI priority decay: one level per route computation
-                        # (i.e., per router entered after injection).
-                        pkt = flit.packet
-                        if pkt.priority > 0:
-                            pkt.priority -= 1
-                            self.priority_decays += 1
-                    if flit.packet.injected_at is None:
-                        flit.packet.injected_at = now
-                    if self.on_hop is not None:
-                        self.on_hop(self.router_id, flit.packet, now)
-                # Reset transient routing state; it belongs to this router now.
-                flit.out_port = None
-                flit.out_vc = None
-                port.vcs[vc].push(flit, now)
-                port.occ += 1
-                self._occ += 1
-
-    def _deliver_credits(self, now: int) -> None:
-        for out in self.output_ports:
-            if out is None or out.credit_in is None or out.credits is None:
-                continue
-            for vc in out.credit_in.deliver(now):
-                out.credits.restore(vc)
-
-    # -- route computation + VC allocation ----------------------------------
-    def _route_and_allocate(self, now: int) -> None:
-        dest_coords = self._dest_coords
-        n_in = self.num_inputs
-        start = self._va_rr
-        self._va_rr = (self._va_rr + 1) % n_in
-        for off in range(n_in):
-            port = self.input_ports[(start + off) % n_in]
-            if port.occ == 0:
-                continue
-            for vc in port.vcs:
-                if vc.state != VCState.ROUTING:
-                    continue
-                head = vc.fifo[0]
-                pkt = head.packet
-                if vc.candidates is None:
-                    dc = dest_coords(pkt.dest)
-                    vc.candidates = self.routing.candidates(self.coords, dc)
-                    vc.escape = self.routing.escape_port(self.coords, dc)
-                self._try_allocate(vc, pkt)
-
-    def _try_allocate(self, vc: VirtualChannel, pkt) -> bool:
-        candidates = vc.candidates or []
-        if self.routing.adaptive and len(candidates) > 1:
-            candidates = sorted(
-                candidates,
-                key=lambda p: -(self.output_ports[p].free_credit_total()
-                                if self.output_ports[p] is not None else -1),
-            )
-        escape = vc.escape if vc.escape is not None else LOCAL
-        for out_port in candidates:
-            out = self.output_ports[out_port]
-            if out is None:
-                continue
-            if out_port == LOCAL:
-                # Ejection: claim any free writer slot (infinite credits).
-                for dvc in range(self.num_vcs):
-                    if out.writer[dvc] is None:
-                        self._commit_allocation(vc, out, out_port, dvc, pkt)
-                        return True
-                continue
-            # Prefer adaptive VCs (leave the escape VC as a fallback).
-            for dvc in self._vc_order:
-                if not self.routing.vc_allowed(dvc, out_port, escape):
-                    continue
-                if not out.vc_claimable(dvc, pkt.size):
-                    continue
-                self._commit_allocation(vc, out, out_port, dvc, pkt)
-                return True
-        return False
-
+    # -- allocation -----------------------------------------------------------
     def _commit_allocation(
         self, vc: VirtualChannel, out: OutputPort, out_port: int, dvc: int, pkt
     ) -> None:
         vc.set_route(out_port)
         vc.set_out_vc(dvc)
         out.claim(dvc, pkt.pid, pkt.size)
-
-    # -- switch allocation / traversal ----------------------------------------
-    def _collect_bids(self, now: int) -> List[Bid]:
-        bids: List[Bid] = []
-        demote_injection = False
-        if self.priority_enabled and self.starvation_threshold > 0:
-            for port in self.input_ports:
-                if port.is_injection:
-                    continue
-                if port.oldest_wait(now) > self.starvation_threshold:
-                    demote_injection = True
-                    break
-        ejection_open = self.ejection_gate is None or self.ejection_gate()
-        for port in self.input_ports:
-            if port.occ == 0:
-                continue
-            for vc in port.vcs:
-                if vc.state != VCState.ACTIVE or not vc.fifo:
-                    continue
-                out_port = vc.out_port
-                if out_port is None:
-                    continue
-                if out_port == LOCAL and not ejection_open:
-                    continue
-                prio = vc.fifo[0].packet.priority if self.priority_enabled else 0
-                if demote_injection and port.is_injection:
-                    prio = 0
-                    self.starvation_demotions += 1
-                bids.append(Bid(port.port_id, vc.index, out_port, prio))
-        return bids
-
-    def _traverse(self, winners: List[Bid], now: int) -> int:
-        moved = 0
-        injected = 0
-        for bid in winners:
-            port = self.input_ports[bid.in_port]
-            vc = port.vcs[bid.vc]
-            out_port = vc.out_port
-            out_vc = vc.out_vc
-            out = self.output_ports[out_port]
-            flit = vc.front()
-            if flit is None or out is None or out_vc is None:
-                raise RuntimeError("switch grant for an empty VC")
-            flit.out_port = out_port
-            flit.out_vc = out_vc
-            vc.pop(now)
-            port.occ -= 1
-            self._occ -= 1
-            if out.credits is not None:
-                out.credits.consume(out_vc)
-            out.record_send(out_vc, flit.packet.pid)
-            out.link.send(flit, now)
-            # Return the freed buffer slot upstream.
-            if port.is_injection:
-                if self.ni is not None:
-                    self.ni.on_credit(port.port_id, bid.vc)
-                self.flits_injected += 1
-                injected += 1
-            else:
-                ch = self.credit_out[bid.in_port]
-                if ch is not None:
-                    ch.send(bid.vc, now)
-            moved += 1
-        if injected > 1:
-            self.speedup_extra_flits += injected - 1
-        self.flits_switched += moved
-        return moved
 
     # -- fault support ----------------------------------------------------------
     def purge_front_packet(self, port_id: int, vc_index: int, now: int):
@@ -401,7 +247,7 @@ class Router:
             vc.fifo.popleft()
         port.occ -= pkt.size
         self._occ -= pkt.size
-        # Per-flit credit return mirrors _traverse().
+        # Per-flit credit return mirrors switch traversal in step().
         if port.is_injection:
             if self.ni is not None:
                 for _ in range(pkt.size):
@@ -424,23 +270,9 @@ class Router:
             vc._on_new_front(now)
         return pkt
 
-    # -- main step --------------------------------------------------------------
-    def step(self, now: int) -> int:
-        """Advance the router one cycle; returns flits switched."""
-        self._deliver_credits(now)
-        self._ingest(now)
-        if self._occ == 0:
-            return 0
-        self._route_and_allocate(now)
-        bids = self._collect_bids(now)
-        if not bids:
-            return 0
-        winners = self.allocator.allocate(bids)
-        return self._traverse(winners, now)
-
-    # -- fast pipeline (ActivityKernel) -----------------------------------------
-    def _build_fast_wiring(self):
-        """Precompute the wiring tables :meth:`step_fast` iterates.
+    # -- the pipeline -----------------------------------------------------------
+    def _build_wiring(self):
+        """Precompute the wiring tables :meth:`step` iterates.
 
         ``credited``: (in-flight deque, credit counter) pairs for output
         ports with a credit-return channel.
@@ -450,7 +282,8 @@ class Router:
         bundles keep ``pipe=None`` and go through ``arrivals``).
         ``vc_rule``: 0 = every VC legal (XY), 1 = escape-VC-0 rule
         (minimal adaptive), 2 = ask ``routing.vc_allowed`` (anything
-        else, e.g. fault-detour wrappers).
+        else, e.g. fault-detour wrappers).  The routing class is folded
+        in here, so whoever swaps ``routing`` must reset ``_wiring``.
         """
         credited = tuple(
             (out.credit_in._in_flight, out.credits)
@@ -481,29 +314,29 @@ class Router:
             alloc._input_arbiters,
             alloc._output_arbiters,
         )
-        self._fast_wiring = wiring
+        self._wiring = wiring
         return wiring
 
-    def step_fast(self, now: int) -> int:
-        """Byte-identical fast equivalent of :meth:`step`.
+    def step(self, now: int) -> int:
+        """Advance the router one cycle; returns flits switched.
 
-        Same state evolution, arbitration outcomes and statistics as the
-        reference pipeline, with the Python-level overhead stripped:
-        precomputed wiring tables, inlined credit delivery and flit
-        ingestion, and conflict-free switch allocation resolved without
-        arbiter scans (the round-robin pointers are updated exactly as
-        the arbiters would have).  Only the activity kernel calls this;
-        the reference kernel keeps the readable pipeline above and the
-        kernel-equivalence suite pins the two together.
+        Credit delivery and flit ingestion, then route computation, VC
+        allocation and bid collection in one rotated sweep, two-stage
+        separable switch allocation, and switch traversal.  Precomputed
+        wiring tables and inlined buffer/credit/link operations keep the
+        Python overhead down; conflict-free switch allocation is resolved
+        without arbiter scans (the round-robin pointers are updated
+        exactly as the arbiters would have).  ``tests/noc/oracle.py``
+        keeps the stage-by-stage version as a differential oracle.
         """
-        wiring = self._fast_wiring
+        wiring = self._wiring
         if wiring is None:
-            wiring = self._build_fast_wiring()
+            wiring = self._build_wiring()
         credited, inputs, vc_rule, in_arbs, out_arbs = wiring
         routing_state = VCState.ROUTING
         active_state = VCState.ACTIVE
 
-        # -- credit delivery (matches _deliver_credits) -------------------
+        # -- credit delivery ----------------------------------------------
         for q, credits in credited:
             if q and q[0][0] <= now:
                 counts = credits.counts
@@ -515,7 +348,7 @@ class Router:
                     counts[v] += 1
                     credits.total += 1
 
-        # -- ingest (matches _ingest) -------------------------------------
+        # -- ingest ---------------------------------------------------------
         occ_add = 0
         on_hop = self.on_hop
         for port, link, pipe in inputs:
@@ -580,14 +413,14 @@ class Router:
             return 0
 
         # -- route + VC allocation + bid collection, one rotated pass ------
-        # The reference pipeline makes two sweeps (rotation-ordered routing,
-        # then index-ordered bid collection).  One rotated sweep produces
-        # the same outcome: allocation order is preserved exactly, a VC
-        # allocated this cycle is ACTIVE by the time its bid is taken (the
-        # single-cycle router bids newly-routed VCs immediately in both
-        # pipelines), and the separable allocator resolves each input and
-        # each output independently, so the order bids are *listed* in
-        # cannot change any grant.
+        # The stage-by-stage oracle makes two sweeps (rotation-ordered
+        # routing, then index-ordered bid collection).  One rotated sweep
+        # produces the same outcome: allocation order is preserved exactly,
+        # a VC allocated this cycle is ACTIVE by the time its bid is taken
+        # (the single-cycle router bids newly-routed VCs immediately), and
+        # the separable allocator resolves each input and each output
+        # independently, so the order bids are *listed* in cannot change
+        # any grant.
         ports = self.input_ports
         n_in = self.num_inputs
         start = self._va_rr
@@ -617,7 +450,7 @@ class Router:
                         dc = dest_coords(pkt.dest)
                         vcobj.candidates = routing.candidates(coords, dc)
                         vcobj.escape = routing.escape_port(coords, dc)
-                    if not self._try_allocate_fast(vcobj, pkt, vc_rule):
+                    if not self._try_allocate(vcobj, pkt, vc_rule):
                         continue
                     # Allocated this cycle => ACTIVE with a head flit: bid.
                 elif st is not active_state or not vcobj.fifo:
@@ -641,9 +474,9 @@ class Router:
         if not bid_ports:
             return 0
 
-        # Starvation demotion (matches _collect_bids): only observable when
-        # an injection port actually bids, so the waiting-time scan is
-        # skipped on pure through-routers.
+        # Starvation demotion: only observable when an injection port
+        # actually bids, so the waiting-time scan is skipped on pure
+        # through-routers.
         if injection_bids and prio_on and self.starvation_threshold > 0:
             thr = self.starvation_threshold
             demote = False
@@ -695,7 +528,7 @@ class Router:
                     grants.append((p, v))
             else:
                 # Stage 1 single-requester wins; group stage 2 by output
-                # exactly as _allocate_fast would (first-bid order).
+                # exactly as _allocate would (first-bid order).
                 by_out = [None] * 5
                 out_order = []
                 for p, v, o in fast_grants:
@@ -739,9 +572,9 @@ class Router:
                     arb._next = nx if nx < n_in else 0
                     grants.append((best_p, in_v[best_p]))
         else:
-            grants = self._allocate_fast(bid_ports, port_bids)
+            grants = self._allocate(bid_ports, port_bids)
 
-        # -- switch traversal (matches _traverse) --------------------------
+        # -- switch traversal -----------------------------------------------
         moved = 0
         injected = 0
         idle_state = VCState.IDLE
@@ -823,15 +656,19 @@ class Router:
         self.flits_switched += moved
         return moved
 
-    def _allocate_fast(self, bid_ports, port_bids):
-        """Exact flat-tuple transliteration of :meth:`SwitchAllocator.allocate`.
+    # The frozen benchmark (benchmarks/e2e) looks this name up on every router.
+    step_fast = step
 
-        ``port_bids[p]`` holds that input's bids as ``(vc, out_port, prio)``
-        tuples in VC-scan order — the same per-input order the reference
-        pipeline feeds the allocator (inputs are resolved independently, so
-        cross-input order is free).  Arbiter pointers are read and written
-        through the same :class:`RoundRobinArbiter` instances, so switching
-        pipelines mid-run keeps arbitration history.  Returns winning
+    def _allocate(self, bid_ports, port_bids):
+        """Two-stage separable input-first switch allocation.
+
+        Stage 1 lets each input pick up to its speedup of VCs bidding for
+        distinct outputs; stage 2 lets each output grant one input.  Both
+        stages prefer the higher ARI priority and break ties round-robin
+        through the router's :class:`RoundRobinArbiter` pointers.
+        ``port_bids[p]`` holds that input's bids as ``(vc, out_port,
+        prio)`` tuples in VC-scan order (inputs are resolved
+        independently, so cross-input order is free).  Returns winning
         ``(in_port, vc)`` pairs.
         """
         alloc = self.allocator
@@ -938,8 +775,12 @@ class Router:
             grants.append((best_p, t[1]))
         return grants
 
-    def _try_allocate_fast(self, vc: VirtualChannel, pkt, vc_rule: int) -> bool:
-        """Fast twin of :meth:`_try_allocate` (same outcomes, fewer calls)."""
+    def _try_allocate(self, vc: VirtualChannel, pkt, vc_rule: int) -> bool:
+        """Route-compute result -> claim an output VC (WPF); True on success.
+
+        ``vc_rule`` (from the wiring tables) inlines the routing's VC
+        legality check for XY and minimal adaptive routing.
+        """
         candidates = vc.candidates or []
         outs = self.output_ports
         routing = self.routing

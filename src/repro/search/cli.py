@@ -111,11 +111,6 @@ def add_search_parser(sub) -> None:
     se.add_argument("--seed", type=int, default=3,
                     help="simulation seed baked into every spec")
     se.add_argument("--no-cache", action="store_true")
-    se.add_argument(
-        "--kernel", default=None, choices=("reference", "activity"),
-        help="simulation kernel backend (default: REPRO_KERNEL env var, "
-             "then 'reference'); results are byte-identical",
-    )
 
 
 def cmd_search(args) -> int:
@@ -128,7 +123,6 @@ def cmd_search(args) -> int:
         warmup=args.cycles // 4,
         seed=args.seed,
         mesh=args.mesh,
-        kernel=args.kernel,
     )
     try:
         space = (

@@ -39,7 +39,7 @@ Point = Dict[str, object]
 
 #: RunSpec fields a search may not vary: fault plans belong to the
 #: objective (resilience objectives install their own), telemetry makes
-#: runs live/uncacheable, and kernels are byte-identical by contract so
+#: runs live/uncacheable, and both kernel names run the same loop, so
 #: a kernel axis would only buy duplicate results.
 EXCLUDED_FIELDS = ("faults", "fault_detour", "telemetry", "kernel")
 

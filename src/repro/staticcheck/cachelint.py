@@ -6,7 +6,7 @@ Three rules, all built on the interprocedural flow summaries of
 ``cachekey-unsound`` (ERROR)
     The result cache stores payloads under ``spec.key()``.  ``key()``
     deliberately excludes some :class:`RunSpec` fields — ``kernel``
-    always (two kernels are byte-equivalent by the kernellint proof),
+    always (both kernel names run the same advance loop),
     ``faults``/``fault_detour``/``telemetry`` when ``None``.  The cache
     is only sound if no *excluded* field can influence the cached
     payload: a flow from an always-excluded field, or an unguarded flow
@@ -40,6 +40,7 @@ import re
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.staticcheck.callgraph import (
+    RECEIVER_HINTS,
     CallGraph,
     CallSite,
     FunctionNode,
@@ -594,8 +595,6 @@ def lint_source(
 ) -> CheckReport:
     """Lint one module (with an optional pre-built repo-wide graph)."""
     if graph is None:
-        from repro.staticcheck.kernellint import RECEIVER_HINTS
-
         graph = build_call_graph([(path, text)], RECEIVER_HINTS)
         if graph.errors.get(path) is not None:
             return CheckReport()
@@ -605,7 +604,6 @@ def lint_source(
 def lint_paths(paths: Iterable[str]) -> CheckReport:
     """Build one graph over every ``.py`` file and run the provers."""
     from repro.staticcheck.detlint import iter_python_files
-    from repro.staticcheck.kernellint import RECEIVER_HINTS
 
     sources: List[Tuple[str, str]] = []
     for path in iter_python_files(paths):

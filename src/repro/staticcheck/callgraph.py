@@ -1,9 +1,9 @@
 """Module-aware call graph over a set of Python sources.
 
-The interprocedural analyses in :mod:`repro.staticcheck` (side-effect
-summaries, the kernel-soundness prover, cross-module lint reasoning) all
-need the same substrate: *who calls whom*, resolved across modules, with
-class inheritance flattened.  This module builds it once per check run:
+The interprocedural analyses in :mod:`repro.staticcheck` (taint
+summaries, cross-module lint reasoning) all need the same substrate:
+*who calls whom*, resolved across modules, with class inheritance
+flattened.  This module builds it once per check run:
 
 :class:`FunctionNode`
     One function, method, property getter, or lambda, addressed by a
@@ -51,12 +51,37 @@ __all__ = [
     "CallGraph",
     "CallSite",
     "ClassInfo",
+    "RECEIVER_HINTS",
     "FunctionNode",
     "ModuleInfo",
     "build_call_graph",
     "chain_of",
     "module_name_for",
 ]
+
+#: Receiver-chain terminal segments -> candidate component classes, used
+#: to type untyped attribute calls such as ``net.routers[r].step(...)``
+#: or ``ni.step(...)``.  Subclass overrides are added automatically by
+#: the resolver.
+RECEIVER_HINTS: Dict[str, Tuple[str, ...]] = {
+    "routers[]": ("Router",),
+    "router": ("Router",),
+    "nis[]": ("InjectionInterface",),
+    "vcs": ("VirtualChannel",),
+    "ni": ("InjectionInterface",),
+    "ejectors[]": ("EjectionInterface",),
+    "ejector": ("EjectionInterface",),
+    "ejection_links[]": ("Link",),
+    "input_links[]": ("Link",),
+    "links[]": ("Link",),
+    "link": ("Link",),
+    "telemetry": ("TelemetryCollector",),
+    "faults": ("FaultInjector",),
+    "auditor": ("InvariantChecker",),
+    "net": ("Network",),
+    "allocator": ("SwitchAllocator",),
+    "stats": ("NetworkStats",),
+}
 
 #: Method names too generic to resolve by name alone — they are almost
 #: always container/builtin operations, and a name-based fallback edge

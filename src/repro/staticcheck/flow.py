@@ -32,10 +32,9 @@ deliberately small and dependency-free:
     states to a fixpoint and exposes the input state of every block.
 
 The framework itself is *intra*procedural; interprocedural reasoning
-(effect summaries, the kernel-soundness prover, cross-module lint
-logic) layers on top through the shared call graph in
-``callgraph.py``/``effects.py`` rather than widening this engine into
-a whole-program analysis.
+(taint summaries, cross-module lint logic) layers on top through the
+shared call graph in ``callgraph.py``/``taint.py`` rather than widening
+this engine into a whole-program analysis.
 """
 
 from __future__ import annotations

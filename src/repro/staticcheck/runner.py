@@ -1,8 +1,8 @@
 """CheckRunner — one front door for every static analysis, plus the gate.
 
 :class:`CheckRunner` exposes the model checks (scheme/spec level) and the
-code checks (determinism/unit/protocol/pool lints plus the
-kernel-soundness prover) behind one object that filters by rule id and
+code checks (determinism/unit/protocol/pool/cache-key lints) behind
+one object that filters by rule id and
 renders one :class:`~repro.staticcheck.diagnostics.CheckReport`.  The
 code checks share a single interprocedural call graph per invocation.
 
@@ -146,22 +146,6 @@ RULES: Dict[str, tuple] = {
         "no lambdas, closures, or bound methods submitted to the "
         "process pool (captured state is copied, not shared)",
     ),
-    "kernel-skip-unsound": (
-        "code",
-        "every state path mutated on the reference kernel's advance path "
-        "must be replicated, wake-scheduled, or declared inert by the "
-        "activity kernel",
-    ),
-    "kernel-wake-unscheduled": (
-        "code",
-        "an activity kernel that gates on a wake agenda must also re-arm "
-        "it (something must write the agenda it drains)",
-    ),
-    "kernel-state-untracked": (
-        "code",
-        "the activity kernel must not mutate component state the "
-        "reference kernel never touches (byte-identity drift)",
-    ),
     "cachekey-unsound": (
         "code",
         "no RunSpec field excluded from key() may influence the cached "
@@ -241,36 +225,32 @@ class CheckRunner:
     def _code_reports(self, items: Sequence[tuple]) -> CheckReport:
         """All code lints over ``(path, text)`` pairs sharing one graph.
 
-        One call graph (with the kernel receiver hints) serves every
+        One call graph (with the component receiver hints) serves every
         graph-aware lint: det/pool run per file against it, while the
-        protocol and kernel-soundness passes are inherently whole-graph
-        and run once.
+        protocol and cache-key passes are inherently whole-graph and run
+        once.
         """
         from repro.staticcheck import (
             cachelint,
             detlint,
-            kernellint,
             poollint,
             protolint,
             unitlint,
         )
-        from repro.staticcheck.callgraph import build_call_graph
+        from repro.staticcheck.callgraph import RECEIVER_HINTS, build_call_graph
 
-        graph = build_call_graph(
-            items, receiver_hints=kernellint.RECEIVER_HINTS
-        )
+        graph = build_call_graph(items, receiver_hints=RECEIVER_HINTS)
         report = CheckReport()
         for path, text in items:
             report.extend(detlint.lint_source(text, path, graph=graph))
             report.extend(unitlint.lint_source(text, path))
             report.extend(poollint.lint_source(text, path, graph=graph))
         report.extend(protolint.lint_graph(graph))
-        report.extend(kernellint.lint_graph(graph))
         report.extend(cachelint.lint_graph(graph))
         return self._filtered(report)
 
     def check_source(self, text: str, path: str = "<string>") -> CheckReport:
-        """All code lints (det/unit/proto/pool/kernel) over one module."""
+        """All code lints (det/unit/proto/pool/cache) over one module."""
         return self._code_reports([(path, text)])
 
     def check_paths(self, paths: Sequence[str]) -> CheckReport:

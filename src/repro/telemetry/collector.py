@@ -15,13 +15,10 @@ Probes are *pull*-based: no simulator component records anything extra per
 cycle; at sample time the probe reads maintained state (occupancy
 counters, cumulative link/router counters) and differences cumulative
 values against the previous sample to get per-interval figures.  Because
-probes only read state the simulator maintains anyway, sampling composes
-with any simulation kernel: the activity kernel keeps all maintained
-counters byte-identical to the reference loop, so a telemetry stream is
-the same under either ``kernel=``.  The one
-push-based channel is the rolling packet-latency window, fed by chaining
-the network's existing ``on_delivery`` callback — again the
-:class:`PacketTracer` contract.
+probes only read state the simulator maintains anyway, attaching a
+collector never changes a result.  The one push-based channel is the
+rolling packet-latency window, fed by chaining the network's existing
+``on_delivery`` callback — again the :class:`PacketTracer` contract.
 """
 
 from __future__ import annotations

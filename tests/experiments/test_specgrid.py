@@ -42,7 +42,7 @@ class TestParseAxis:
 
     def test_kernel_is_a_valid_axis(self):
         # The kernel= field is part of the spec schema, so it can be swept
-        # (e.g. for equivalence spot-checks from the CLI).
+        # (both names run the same loop, so such a sweep repeats itself).
         assert "kernel" in SPEC_FIELDS
         assert parse_axis("kernel=reference,activity") == (
             "kernel", ["reference", "activity"]
@@ -123,13 +123,6 @@ class TestCampaignAxes:
         # Axis values win over the campaign's own seed list.
         assert all(s.seed == 11 for s in specs)
 
-    def test_kernel_threads_into_every_cell(self):
-        cfg = CampaignConfig(
-            schemes=("xy-baseline",), dead_links=(0, 1), kernel="activity"
-        )
-        for (_, _, _, spec) in CampaignRunner(cfg).specs():
-            assert spec.kernel == "activity"
-
 
 class TestCLIParser:
     def _parser(self):
@@ -137,30 +130,9 @@ class TestCLIParser:
 
         return build_parser()
 
-    def test_kernel_flag_on_commands(self):
-        p = self._parser()
-        for argv in (
-            ["run", "bfs", "ada-ari", "--kernel", "activity"],
-            ["compare", "bfs", "--kernel", "activity"],
-            ["sweep", "bfs", "ada-ari", "--axis", "seed=1,2",
-             "--kernel", "activity"],
-            ["faults", "--kernel", "activity"],
-        ):
-            args = p.parse_args(argv)
-            assert args.kernel == "activity", argv
-
     def test_faults_axis_flag_repeats(self):
         p = self._parser()
         args = p.parse_args(
             ["faults", "--axis", "num_vcs=2,4", "--axis", "seed=1"]
         )
         assert args.axis == ["num_vcs=2,4", "seed=1"]
-
-    def test_check_kernel_equiv_depths(self):
-        p = self._parser()
-        assert p.parse_args(["check"]).kernel_equiv is None
-        assert p.parse_args(["check", "--kernel-equiv"]).kernel_equiv == "quick"
-        assert (
-            p.parse_args(["check", "--kernel-equiv", "full"]).kernel_equiv
-            == "full"
-        )

@@ -1,47 +1,55 @@
-"""Tests for arbiters and the separable input-first switch allocator."""
+"""Tests for arbiters and the separable input-first switch allocator.
+
+Arbitration runs inline in ``Router.step``; these tests pin the
+stage-by-stage oracle (``tests/noc/oracle.py``) that the router is
+differentially tested against, over the allocator state in
+``repro.noc.allocator``.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.noc.allocator import Bid, RoundRobinArbiter, SwitchAllocator
+from repro.noc.allocator import RoundRobinArbiter, SwitchAllocator
+
+from tests.noc.oracle import Bid, allocate, grant, grant_prioritized
 
 
 class TestRoundRobinArbiter:
     def test_grants_only_requesters(self):
         arb = RoundRobinArbiter(4)
-        assert arb.grant([False, True, False, False]) == 1
+        assert grant(arb, [False, True, False, False]) == 1
 
     def test_no_request_no_grant(self):
         arb = RoundRobinArbiter(3)
-        assert arb.grant([False, False, False]) is None
+        assert grant(arb, [False, False, False]) is None
 
     def test_rotates_for_fairness(self):
         arb = RoundRobinArbiter(3)
-        grants = [arb.grant([True, True, True]) for _ in range(6)]
+        grants = [grant(arb, [True, True, True]) for _ in range(6)]
         assert grants == [0, 1, 2, 0, 1, 2]
 
     def test_size_mismatch_raises(self):
         arb = RoundRobinArbiter(2)
         with pytest.raises(ValueError):
-            arb.grant([True])
+            grant(arb, [True])
 
     def test_prioritized_prefers_higher(self):
         arb = RoundRobinArbiter(3)
-        assert arb.grant_prioritized([0, 1, 0]) == 1
+        assert grant_prioritized(arb, [0, 1, 0]) == 1
 
     def test_prioritized_ties_round_robin(self):
         arb = RoundRobinArbiter(2)
-        first = arb.grant_prioritized([1, 1])
-        second = arb.grant_prioritized([1, 1])
+        first = grant_prioritized(arb, [1, 1])
+        second = grant_prioritized(arb, [1, 1])
         assert {first, second} == {0, 1}
 
     def test_prioritized_skips_idle(self):
         arb = RoundRobinArbiter(3)
-        assert arb.grant_prioritized([None, None, 0]) == 2
+        assert grant_prioritized(arb, [None, None, 0]) == 2
 
     def test_prioritized_all_idle(self):
         arb = RoundRobinArbiter(2)
-        assert arb.grant_prioritized([None, None]) is None
+        assert grant_prioritized(arb, [None, None]) is None
 
 
 class TestSwitchAllocator:
@@ -49,60 +57,60 @@ class TestSwitchAllocator:
         return SwitchAllocator(num_in=5, num_out=5, num_vcs=4, speedups=speedups)
 
     def test_single_bid_wins(self):
-        winners = self._alloc().allocate([Bid(0, 0, 1, 0)])
+        winners = allocate(self._alloc(), [Bid(0, 0, 1, 0)])
         assert len(winners) == 1
 
     def test_output_conflict_one_winner(self):
-        winners = self._alloc().allocate([Bid(0, 0, 2, 0), Bid(1, 0, 2, 0)])
+        winners = allocate(self._alloc(), [Bid(0, 0, 2, 0), Bid(1, 0, 2, 0)])
         assert len(winners) == 1
 
     def test_distinct_outputs_both_win(self):
-        winners = self._alloc().allocate([Bid(0, 0, 1, 0), Bid(1, 0, 2, 0)])
+        winners = allocate(self._alloc(), [Bid(0, 0, 1, 0), Bid(1, 0, 2, 0)])
         assert len(winners) == 2
 
     def test_input_without_speedup_single_grant(self):
         # Two VCs of the same port requesting different outputs: only one
         # may cross a 1-switch-port input per cycle.
-        winners = self._alloc().allocate([Bid(0, 0, 1, 0), Bid(0, 1, 2, 0)])
+        winners = allocate(self._alloc(), [Bid(0, 0, 1, 0), Bid(0, 1, 2, 0)])
         assert len(winners) == 1
 
     def test_injection_speedup_multiple_grants(self):
         # ARI consumption side: speedup-4 injection port sends up to 4 flits.
         alloc = self._alloc(speedups={4: 4})
         bids = [Bid(4, vc, vc, 0) for vc in range(4)]  # 4 VCs, 4 outputs
-        winners = alloc.allocate(bids)
+        winners = allocate(alloc, bids)
         assert len(winners) == 4
 
     def test_speedup_respects_distinct_outputs(self):
         alloc = self._alloc(speedups={4: 4})
         bids = [Bid(4, vc, 1, 0) for vc in range(4)]  # all to output 1
-        winners = alloc.allocate(bids)
+        winners = allocate(alloc, bids)
         assert len(winners) == 1
 
     def test_speedup_capped(self):
         alloc = self._alloc(speedups={4: 2})
         bids = [Bid(4, vc, vc, 0) for vc in range(4)]
-        winners = alloc.allocate(bids)
+        winners = allocate(alloc, bids)
         assert len(winners) == 2
 
     def test_priority_wins_output_stage(self):
         alloc = self._alloc()
-        winners = alloc.allocate([Bid(0, 0, 1, 0), Bid(1, 0, 1, 5)])
+        winners = allocate(alloc, [Bid(0, 0, 1, 0), Bid(1, 0, 1, 5)])
         assert len(winners) == 1
         assert winners[0].in_port == 1
 
     def test_priority_wins_input_stage(self):
         alloc = self._alloc()
-        winners = alloc.allocate([Bid(0, 0, 1, 0), Bid(0, 1, 2, 5)])
+        winners = allocate(alloc, [Bid(0, 0, 1, 0), Bid(0, 1, 2, 5)])
         assert len(winners) == 1
         assert winners[0].vc == 1
 
     def test_bad_ports_rejected(self):
         alloc = self._alloc()
         with pytest.raises(ValueError):
-            alloc.allocate([Bid(9, 0, 0, 0)])
+            allocate(alloc, [Bid(9, 0, 0, 0)])
         with pytest.raises(ValueError):
-            alloc.allocate([Bid(0, 0, 9, 0)])
+            allocate(alloc, [Bid(0, 0, 9, 0)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,7 +137,7 @@ def test_allocator_invariants(bids, inj_speedup):
             continue
         seen.add((ip, vc))
         uniq.append(Bid(ip, vc, op, pr))
-    winners = alloc.allocate(uniq)
+    winners = allocate(alloc, uniq)
 
     # 1. each output grants at most once
     outs = [w.out_port for w in winners]

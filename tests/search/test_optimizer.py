@@ -1,7 +1,7 @@
 """Optimizer loop: determinism, pruning, budget, ledger resume, caching.
 
-These tests run real (tiny) simulations — 80 cycles on a 4x4 mesh with
-the activity kernel — so the full propose/prune/evaluate/score path is
+These tests run real (tiny) simulations — 80 cycles on a 4x4 mesh — so
+the full propose/prune/evaluate/score path is
 exercised, not a mock of it.
 """
 
@@ -20,9 +20,7 @@ from repro.search.optimizer import (
 )
 from repro.search.space import SearchSpace
 
-BASE = RunSpec(
-    "bfs", "ada-ari", cycles=80, warmup=20, mesh=4, kernel="activity"
-)
+BASE = RunSpec("bfs", "ada-ari", cycles=80, warmup=20, mesh=4)
 
 
 def config(**over):

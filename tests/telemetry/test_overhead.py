@@ -10,7 +10,6 @@ and without a collector).
 
 from repro.gpu.system import GPGPUSystem
 from repro.noc import Network, NetworkConfig
-from repro.noc.kernel import ActivityKernel, ReferenceKernel
 from repro.noc.network import PerfectNetwork
 from repro.noc.ni import (
     BaselineNI,
@@ -51,14 +50,9 @@ class TestStructural:
 
     def test_step_pays_exactly_one_attribute_read(self):
         # The whole opt-in lives at the clock owner: one attribute load
-        # plus an `is None` test per cycle, nothing per flit.  Network's
-        # per-cycle loop lives in its kernel backends since the SimKernel
-        # seam, so the contract is asserted on each kernel's cycle().
-        for cls in (PerfectNetwork, GPGPUSystem):
+        # plus an `is None` test per cycle, nothing per flit.
+        for cls in (Network, PerfectNetwork, GPGPUSystem):
             names = cls.step.__code__.co_names
-            assert names.count("telemetry") == 1, cls.__name__
-        for cls in (ReferenceKernel, ActivityKernel):
-            names = cls.cycle.__code__.co_names
             assert names.count("telemetry") == 1, cls.__name__
 
 

@@ -170,7 +170,7 @@ class TestSearchCommand:
         ledger = tmp_path / "ledger.jsonl"
         rc = main(
             ["search", "bfs", "ada-ari", "--budget", "3", "--batch", "3",
-             "--cycles", "80", "--mesh", "4", "--kernel", "activity",
+             "--cycles", "80", "--mesh", "4",
              "--ledger", str(ledger), "--no-baseline"]
         )
         assert rc == 0
@@ -183,7 +183,7 @@ class TestSearchCommand:
         ledger = tmp_path / "ledger.jsonl"
         base_argv = [
             "search", "bfs", "ada-ari", "--budget", "3", "--batch", "3",
-            "--cycles", "80", "--mesh", "4", "--kernel", "activity",
+            "--cycles", "80", "--mesh", "4",
             "--ledger", str(ledger), "--no-baseline", "--quiet",
         ]
         assert main(base_argv) == 0
