@@ -7,8 +7,10 @@ instruction executed (``sys.settrace`` opcode events) and every call into
 C (``sys.setprofile`` ``c_call`` events), folded by the module of the
 code that ran them: ``noc.router``, ``noc.network``, ``gpu.core`` and so
 on, the layer names of ``BENCHMARK.json``; code outside ``repro`` is
-``other``.  It also records router visits and allocation attempts as
-call counts of ``Router.step`` and ``Router._try_allocate``.
+``other``.  It also records router visits, VC allocation attempts and
+successful VC claims as call counts of ``Router.step``,
+``Router._try_allocate`` and ``Router._commit_allocation``; attempts
+minus claims are the allocations that failed.
 
 Each simulation runs in a fresh interpreter with a fixed hash seed, so
 the counts repeat exactly and the gate is equality with the table pinned
@@ -160,6 +162,7 @@ def count(run, package_dir: str) -> dict:
         "c_calls": fold(c_calls),
         "router_visits": router_calls("step"),
         "alloc_attempts": router_calls("_try_allocate"),
+        "alloc_claims": router_calls("_commit_allocation"),
     }
 
 

@@ -3,8 +3,9 @@
 Not a paper figure — measures the throughput of the process-pool
 :class:`~repro.experiments.executor.SweepExecutor` on a 16-run grid and
 writes serial vs. N-worker cycles/sec into
-``results/bench_tables/BENCH_parallel_sweep.json``, so the executor's
-scaling is machine-readable across PRs.
+``results/host_timings/BENCH_parallel_sweep.json`` (git-ignored: the
+rates are this host's wall clock), so the executor's scaling is
+machine-readable on any host.
 
 The speedup assertion is gated on host core count: on a >= 4-core host
 the parallel run must be at least 2x faster than serial; smaller hosts
@@ -82,7 +83,7 @@ def test_parallel_sweep_throughput(benchmark, save_table):
         },
         "speedup": speedup,
     }
-    _emit.write_bench_json("parallel_sweep", payload)
+    _emit.write_bench_json("parallel_sweep", payload, _emit.HOST_DIR)
 
     save_table(
         "parallel_sweep",
@@ -96,6 +97,7 @@ def test_parallel_sweep_throughput(benchmark, save_table):
             "summary": {"speedup": speedup, "host_cpus": payload["host_cpus"]},
             "paper": "executor infrastructure, not a paper figure",
         },
+        _emit.HOST_DIR,
     )
 
     assert len(parallel_results) == GRID_RUNS

@@ -4,8 +4,9 @@ Not a paper figure — measures `repro.search` throughput on a fixed
 hillclimb search (budget 24 over the default ARI knob triple, activity
 kernel) and writes trials/sec, the cache-hit fraction of a warm re-run,
 and the best-objective-vs-budget curve into
-``results/bench_tables/BENCH_search.json`` so the optimizer's speed and
-its search *quality* are both tracked KPIs across PRs.
+``results/host_timings/BENCH_search.json`` (git-ignored: the rates are
+this host's wall clock) so the optimizer's speed and its search
+*quality* can be checked on any host.
 
 The cold pass simulates everything; the warm pass replays the identical
 trial sequence against the now-populated ResultStore, so its hit
@@ -92,7 +93,7 @@ def test_search_throughput(benchmark, save_table):
         "baseline_objective": cold.baseline_score,
         **_best_curve(cold),
     }
-    _emit.write_bench_json("search", payload)
+    _emit.write_bench_json("search", payload, _emit.HOST_DIR)
 
     save_table(
         "search",
@@ -112,6 +113,7 @@ def test_search_throughput(benchmark, save_table):
             },
             "paper": "search infrastructure, not a paper figure",
         },
+        _emit.HOST_DIR,
     )
 
     assert warm_phase["cache_hit_fraction"] == 1.0

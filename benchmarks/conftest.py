@@ -4,22 +4,22 @@ Every bench regenerates one paper figure/table at ``smoke`` scale (CI-sized
 simulation budgets), times the full regeneration, writes the resulting
 series to ``results/bench_tables/<name>.txt``, and asserts the figure's
 qualitative *shape* (who wins, roughly by how much).  Run the paper-scale
-versions via ``examples/reproduce_paper.py``.
+versions via ``examples/reproduce_paper.py``.  Benches whose tables hold
+host timings pass ``_emit.HOST_DIR`` so a run leaves the tracked tree
+unchanged.
 """
 
 import os
 
+import _emit
 import pytest
-
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results", "bench_tables")
 
 
 @pytest.fixture
 def save_table():
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-
-    def _save(name: str, payload: dict) -> None:
-        path = os.path.join(RESULTS_DIR, f"{name}.txt")
+    def _save(name: str, payload: dict, directory: str = _emit.TABLES_DIR) -> None:
+        os.makedirs(directory, exist_ok=True)
+        path = os.path.join(directory, f"{name}.txt")
         with open(path, "w") as fh:
             fh.write(payload.get("table", "") + "\n\n")
             fh.write(f"summary: {payload.get('summary')}\n")

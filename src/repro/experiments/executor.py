@@ -24,6 +24,7 @@ samples (see docs/observability.md).
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import os
 import warnings
@@ -279,7 +280,13 @@ class ReadThrough:
 
 
 def _run_chunk(payloads: List[dict], check_invariants=None) -> List[dict]:
-    """Worker entry point: simulate a chunk of spec dicts, return result dicts."""
+    """Worker entry point: simulate a chunk of spec dicts, return result dicts.
+
+    A finished system is a reference cycle that only the cyclic collector
+    frees, and a worker's automatic collections fall wherever its
+    allocation count says.  Collecting after each run keeps a worker's
+    peak memory at one live system, whichever specs the pool hands it.
+    """
     out = []
     for payload in payloads:
         spec = RunSpec(**payload)
@@ -288,6 +295,7 @@ def _run_chunk(payloads: List[dict], check_invariants=None) -> List[dict]:
                 simulate_spec(spec, check_invariants=check_invariants)
             )
         )
+        gc.collect()
     return out
 
 

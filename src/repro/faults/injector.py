@@ -329,10 +329,13 @@ class FaultInjector:
         if key in self._deferred_pins:
             self._deferred_pins.discard(key)
             return
-        out = self.network.routers[router].output_ports[direction]
+        r = self.network.routers[router]
+        out = r.output_ports[direction]
         if out.writer[vc] == FAULT_PID:
             out.writer[vc] = None
             out.writer_left[vc] = 0
+            # The VC may be claimable again: wake heads blocked on it.
+            r._freed[direction] += 1
 
     def _settle_deferred_pins(self) -> None:
         # Runs before routers allocate, so a writer freed last cycle is
@@ -370,15 +373,25 @@ class FaultInjector:
 
     # -- cache hygiene -------------------------------------------------------
     def _clear_route_caches(self) -> None:
-        """Drop cached route candidates computed against the old topology."""
-        for router in self.network.routers:
-            for port in router.input_ports:
-                if port.occ == 0:
-                    continue
-                for vc in port.vcs:
-                    if vc.state == VCState.ROUTING and vc.candidates is not None:
-                        vc.candidates = None
-                        vc.escape = None
+        """Drop cached route candidates computed against the old topology.
+
+        Only detour routing reads the fault state.  Without it the cached
+        candidates stay right, and a head blocked on a dead link is woken
+        by the ``Router._freed`` bump in :meth:`_unpin` when it revives.
+        """
+        if self.detour:
+            for router in self.network.routers:
+                for port in router.input_ports:
+                    if port.occ == 0:
+                        continue
+                    for vc in port.vcs:
+                        if (
+                            vc.state == VCState.ROUTING
+                            and vc.candidates is not None
+                        ):
+                            vc.candidates = None
+                            vc.escape = None
+                            vc.blocked = None
         self.stats.route_caches_cleared += 1
 
     # -- NI retry/backoff ----------------------------------------------------

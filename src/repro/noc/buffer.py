@@ -45,6 +45,7 @@ class VirtualChannel:
         "wait_since",
         "candidates",
         "escape",
+        "blocked",
     )
 
     def __init__(self, index: int, capacity: int) -> None:
@@ -63,6 +64,9 @@ class VirtualChannel:
         # in ROUTING/VA; adaptive routing keeps several candidates).
         self.candidates: Optional[list] = None
         self.escape: Optional[int] = None
+        # Router's blocked-head memo: the ``Router._freed`` sum over the
+        # candidates when VC allocation last failed (None = retry).
+        self.blocked: Optional[int] = None
 
     # -- capacity ------------------------------------------------------
     @property
@@ -105,6 +109,7 @@ class VirtualChannel:
             self.out_vc = None
             self.candidates = None
             self.escape = None
+            self.blocked = None
             self.state = VCState.IDLE
         if self.fifo:
             self._on_new_front(now)

@@ -49,18 +49,6 @@ class CreditChannel:
         """Downstream signals one freed slot in ``vc`` at cycle ``now``."""
         self._in_flight.append((now + self.latency, vc))
 
-    _EMPTY: List[int] = []
-
-    def deliver(self, now: int) -> List[int]:
-        """Return the VCs whose credits arrive at cycle ``now`` (or earlier)."""
-        q = self._in_flight
-        if not q or q[0][0] > now:
-            return CreditChannel._EMPTY
-        out: List[int] = []
-        while q and q[0][0] <= now:
-            out.append(q.popleft()[1])
-        return out
-
     @property
     def pending(self) -> int:
         return len(self._in_flight)
@@ -78,27 +66,9 @@ class CreditCounter:
         self.counts: List[int] = [vc_capacity] * num_vcs
         # Running sum of ``counts`` — the adaptive-routing congestion
         # score reads it every retry, so it is maintained incrementally.
-        # Callers that bypass consume()/restore() must keep it in step.
+        # Router.step, the only writer of ``counts``, keeps it in step.
         self.total = num_vcs * vc_capacity
 
     def available(self, vc: int) -> int:
         return self.counts[vc]
 
-    def has_credit(self, vc: int) -> bool:
-        return self.counts[vc] > 0
-
-    def consume(self, vc: int) -> None:
-        if self.counts[vc] <= 0:
-            raise RuntimeError(f"credit underflow on vc {vc}")
-        self.counts[vc] -= 1
-        self.total -= 1
-
-    def restore(self, vc: int) -> None:
-        if self.counts[vc] >= self.capacity:
-            raise RuntimeError(f"credit overflow on vc {vc}")
-        self.counts[vc] += 1
-        self.total += 1
-
-    def free_space(self, vc: int) -> int:
-        """Alias of :meth:`available` used by WPF admission checks."""
-        return self.counts[vc]

@@ -389,19 +389,13 @@ class Network:
 class _CompositeLink:
     """Bundles several NI links into one router input (SplitNI wiring).
 
-    Only the ``arrivals`` interface is needed on the router side.
+    The router reads each member link in ``links`` order.
     """
 
     __slots__ = ("links",)
 
     def __init__(self, links: List[Link]) -> None:
         self.links = links
-
-    def arrivals(self, now: int) -> List:
-        out: List = []
-        for link in self.links:
-            out.extend(link.arrivals(now))
-        return out
 
 
 class PerfectNetwork:

@@ -35,8 +35,8 @@ from repro.noc.routing import (
 
 # Sentinel "packet id" used by repro.faults to pin a dead output VC's writer
 # lock: with ``writer[vc] = FAULT_PID`` and ``writer_left[vc] = 1`` the VC
-# fails ``vc_claimable`` through the ordinary WPF path (no extra hot-path
-# check) while still satisfying the writer-lock invariant (locked => left>0).
+# fails the ordinary WPF claim check (no extra hot-path check) while still
+# satisfying the writer-lock invariant (locked => left>0).
 FAULT_PID = -1
 
 
@@ -62,25 +62,11 @@ class OutputPort:
         self.writer: List[Optional[int]] = [None] * num_vcs
         self.writer_left: List[int] = [0] * num_vcs
 
-    def vc_claimable(self, vc: int, size: int) -> bool:
-        if self.writer[vc] is not None:
-            return False
-        if self.credits is not None and self.credits.free_space(vc) < size:
-            return False
-        return True
-
     def claim(self, vc: int, pid: int, size: int) -> None:
         if self.writer[vc] is not None:
             raise RuntimeError(f"output vc {vc} already claimed")
         self.writer[vc] = pid
         self.writer_left[vc] = size
-
-    def record_send(self, vc: int, pid: int) -> None:
-        if self.writer[vc] != pid:
-            raise RuntimeError("flit sent into a VC claimed by another packet")
-        self.writer_left[vc] -= 1
-        if self.writer_left[vc] == 0:
-            self.writer[vc] = None
 
     def free_credit_total(self) -> int:
         """Congestion score used by adaptive routing (bigger = freer)."""
@@ -164,6 +150,13 @@ class Router:
 
         # Maintained flit occupancy (sum over input ports).
         self._occ = 0
+
+        # Blocked-head memo: per output port, a count of the events that
+        # can make one of its downstream VCs claimable (a credit returned
+        # to an unlocked VC, a writer lock released).  A head that fails
+        # VC allocation remembers the sum over its candidates and is not
+        # retried until that sum moves (see step()).
+        self._freed = [0] * 5
 
         # Stats.
         self.flits_switched = 0
@@ -264,6 +257,7 @@ class Router:
         vc.out_vc = None
         vc.candidates = None
         vc.escape = None
+        vc.blocked = None
         vc.state = VCState.IDLE
         vc.wait_since = None
         if vc.fifo:
@@ -274,31 +268,31 @@ class Router:
     def _build_wiring(self):
         """Precompute the wiring tables :meth:`step` iterates.
 
-        ``credited``: (in-flight deque, credit counter) pairs for output
-        ports with a credit-return channel.
-        ``inputs``: (input port, link, pipe) triples for wired links; the
-        pipe deque is captured for plain links so empty links cost one
-        bounds check instead of an ``arrivals()`` call (composite SplitNI
-        bundles keep ``pipe=None`` and go through ``arrivals``).
+        ``credited``: (in-flight deque, credit counter, writer locks,
+        output port) for output ports with a credit-return channel.
+        ``inputs``: (input port, link pipe) pairs, one per wired link; a
+        composite SplitNI bundle contributes each member pipe, in link
+        order.  ``polls``: every deque above, checked alone while the
+        router holds no flit.
         ``vc_rule``: 0 = every VC legal (XY), 1 = escape-VC-0 rule
         (minimal adaptive), 2 = ask ``routing.vc_allowed`` (anything
         else, e.g. fault-detour wrappers).  The routing class is folded
         in here, so whoever swaps ``routing`` must reset ``_wiring``.
         """
         credited = tuple(
-            (out.credit_in._in_flight, out.credits)
-            for out in self.output_ports
+            (out.credit_in._in_flight, out.credits, out.writer, port)
+            for port, out in enumerate(self.output_ports)
             if out is not None
             and out.credit_in is not None
             and out.credits is not None
         )
-        inputs = []
-        for idx, link in enumerate(self.input_links):
-            if link is None:
-                continue
-            inputs.append(
-                (self.input_ports[idx], link, getattr(link, "_pipe", None))
-            )
+        inputs = tuple(
+            (self.input_ports[idx], lk._pipe)
+            for idx, link in enumerate(self.input_links)
+            if link is not None
+            for lk in getattr(link, "links", (link,))
+        )
+        polls = tuple(c[0] for c in credited) + tuple(i[1] for i in inputs)
         rt = type(self.routing)
         if rt is XYRouting:
             vc_rule = 0
@@ -309,7 +303,8 @@ class Router:
         alloc = self.allocator
         wiring = (
             credited,
-            tuple(inputs),
+            inputs,
+            polls,
             vc_rule,
             alloc._input_arbiters,
             alloc._output_arbiters,
@@ -326,18 +321,28 @@ class Router:
         wiring tables and inlined buffer/credit/link operations keep the
         Python overhead down; conflict-free switch allocation is resolved
         without arbiter scans (the round-robin pointers are updated
-        exactly as the arbiters would have).  ``tests/noc/oracle.py``
-        keeps the stage-by-stage version as a differential oracle.
+        exactly as the arbiters would have).  A head whose last VC
+        allocation failed is not retried until one of its candidate
+        outputs has freed something (the ``_freed`` memo).
+        ``tests/noc/oracle.py`` keeps the stage-by-stage version as a
+        differential oracle.
         """
         wiring = self._wiring
         if wiring is None:
             wiring = self._build_wiring()
-        credited, inputs, vc_rule, in_arbs, out_arbs = wiring
+        credited, inputs, polls, vc_rule, in_arbs, out_arbs = wiring
+        if self._occ == 0:
+            for q in polls:
+                if q and q[0][0] <= now:
+                    break
+            else:
+                return 0
         routing_state = VCState.ROUTING
         active_state = VCState.ACTIVE
+        freed = self._freed
 
         # -- credit delivery ----------------------------------------------
-        for q, credits in credited:
+        for q, credits, writer, o in credited:
             if q and q[0][0] <= now:
                 counts = credits.counts
                 cap = credits.capacity
@@ -347,25 +352,20 @@ class Router:
                         raise RuntimeError(f"credit overflow on vc {v}")
                     counts[v] += 1
                     credits.total += 1
+                    if writer[v] is None:
+                        freed[o] += 1
 
         # -- ingest ---------------------------------------------------------
         occ_add = 0
         on_hop = self.on_hop
-        for port, link, pipe in inputs:
-            if pipe is not None:
-                if not pipe or pipe[0][0] > now:
-                    continue
-                arr = []
-                while pipe and pipe[0][0] <= now:
-                    arr.append(pipe.popleft()[1])
-            else:
-                arr = link.arrivals(now)
-                if not arr:
-                    continue
+        for port, pipe in inputs:
+            if not pipe or pipe[0][0] > now:
+                continue
             vcs = port.vcs
             is_inj = port.is_injection
             cnt = 0
-            for flit in arr:
+            while pipe and pipe[0][0] <= now:
+                flit = pipe.popleft()[1]
                 vc = flit.out_vc
                 if vc is None:
                     raise RuntimeError("arriving flit has no VC assignment")
@@ -430,6 +430,9 @@ class Router:
         routing = self.routing
         coords = self.coords
         prio_on = self.priority_enabled
+        # Fault-aware VC legality reads fault state, which no _freed
+        # counter tracks, so rule 2 retries every head every cycle.
+        memo = vc_rule != 2
         gate = self.ejection_gate
         ejection_open = True if gate is None else None  # None = not asked yet
         bid_ports: List[int] = []      # ports with bids, first-bid order
@@ -446,11 +449,23 @@ class Router:
                 st = vcobj.state
                 if st is routing_state:
                     pkt = vcobj.fifo[0].packet
-                    if vcobj.candidates is None:
+                    cands = vcobj.candidates
+                    if cands is None:
                         dc = dest_coords(pkt.dest)
-                        vcobj.candidates = routing.candidates(coords, dc)
+                        cands = vcobj.candidates = routing.candidates(
+                            coords, dc
+                        )
                         vcobj.escape = routing.escape_port(coords, dc)
+                    if memo:
+                        # XY and minimal adaptive give at most two.
+                        key = freed[cands[0]]
+                        if len(cands) > 1:
+                            key += freed[cands[1]]
+                        if key == vcobj.blocked:
+                            continue
                     if not self._try_allocate(vcobj, pkt, vc_rule):
+                        if memo:
+                            vcobj.blocked = key
                         continue
                     # Allocated this cycle => ACTIVE with a head flit: bid.
                 elif st is not active_state or not vcobj.fifo:
@@ -497,82 +512,34 @@ class Router:
                         self.starvation_demotions += len(blist)
                         port_bids[p] = [(v, o, 0) for v, o, _pr in blist]
 
-        # Single-bid fast paths: when every bidding input has exactly one
-        # bid, stage 1 is trivial (single requester wins, pointer advances
-        # past it).  If the outputs are also distinct, stage 2 collapses
-        # the same way; otherwise only the conflicted outputs need a real
-        # output-arbiter round.
-        fast_grants = []
+        # Fast path: when every bidding input has exactly one bid and the
+        # outputs are distinct, every bid wins and each arbiter pointer
+        # just moves past its winner.
+        fast = []
         omask = 0
-        conflict = 0
         for p in bid_ports:
             blist = port_bids[p]
             if len(blist) != 1:
-                fast_grants = None
+                fast = None
                 break
             v, o, _pr = blist[0]
             ob = 1 << o
             if omask & ob:
-                conflict |= ob
+                fast = None
+                break
             omask |= ob
-            fast_grants.append((p, v, o))
-        if fast_grants is not None:
+            fast.append((p, v, o))
+        if fast is None:
+            grants = self._allocate(bid_ports, port_bids)
+        else:
             nvc = self.num_vcs
             grants = []
-            if conflict == 0:
-                for p, v, o in fast_grants:
-                    nx = v + 1
-                    in_arbs[p]._next = nx if nx < nvc else 0
-                    nx = p + 1
-                    out_arbs[o]._next = nx if nx < n_in else 0
-                    grants.append((p, v))
-            else:
-                # Stage 1 single-requester wins; group stage 2 by output
-                # exactly as _allocate would (first-bid order).
-                by_out = [None] * 5
-                out_order = []
-                for p, v, o in fast_grants:
-                    nx = v + 1
-                    in_arbs[p]._next = nx if nx < nvc else 0
-                    pr = port_bids[p][0][2]
-                    group = by_out[o]
-                    if group is None:
-                        by_out[o] = [(p, v, pr)]
-                        out_order.append(o)
-                    else:
-                        group.append((p, v, pr))
-                for o in out_order:
-                    group = by_out[o]
-                    arb = out_arbs[o]
-                    if len(group) == 1:
-                        p, v, _pr = group[0]
-                        nx = p + 1
-                        arb._next = nx if nx < n_in else 0
-                        grants.append((p, v))
-                        continue
-                    vec = [None] * n_in
-                    in_v = [0] * n_in
-                    for p, v, pr in group:
-                        cur = vec[p]
-                        if cur is None or pr > cur:
-                            vec[p] = pr
-                            in_v[p] = v
-                    nxt = arb._next
-                    best_p = -1
-                    best_prio = -1
-                    for off in range(n_in):
-                        idx = nxt + off
-                        if idx >= n_in:
-                            idx -= n_in
-                        prv = vec[idx]
-                        if prv is not None and prv > best_prio:
-                            best_prio = prv
-                            best_p = idx
-                    nx = best_p + 1
-                    arb._next = nx if nx < n_in else 0
-                    grants.append((best_p, in_v[best_p]))
-        else:
-            grants = self._allocate(bid_ports, port_bids)
+            for p, v, o in fast:
+                nx = v + 1
+                in_arbs[p]._next = nx if nx < nvc else 0
+                nx = p + 1
+                out_arbs[o]._next = nx if nx < n_in else 0
+                grants.append((p, v))
 
         # -- switch traversal -----------------------------------------------
         moved = 0
@@ -600,6 +567,7 @@ class Router:
                 vcobj.out_vc = None
                 vcobj.candidates = None
                 vcobj.escape = None
+                vcobj.blocked = None
                 vcobj.state = idle_state
             if fifo:
                 front = fifo[0]
@@ -627,7 +595,7 @@ class Router:
                     raise RuntimeError(f"credit underflow on vc {out_vc}")
                 counts[out_vc] -= 1
                 credits.total -= 1
-            # Inlined OutputPort.record_send + Link.send.
+            # Writer-lock bookkeeping + Link.send, inlined.
             writer = out.writer
             if writer[out_vc] != flit.packet.pid:
                 raise RuntimeError(
@@ -637,6 +605,7 @@ class Router:
             wl[out_vc] -= 1
             if wl[out_vc] == 0:
                 writer[out_vc] = None
+                freed[out_port] += 1
             lk = out.link
             lk._pipe.append((now + lk.latency, flit))
             lk.flits_carried += 1
@@ -664,12 +633,14 @@ class Router:
 
         Stage 1 lets each input pick up to its speedup of VCs bidding for
         distinct outputs; stage 2 lets each output grant one input.  Both
-        stages prefer the higher ARI priority and break ties round-robin
-        through the router's :class:`RoundRobinArbiter` pointers.
-        ``port_bids[p]`` holds that input's bids as ``(vc, out_port,
-        prio)`` tuples in VC-scan order (inputs are resolved
-        independently, so cross-input order is free).  Returns winning
-        ``(in_port, vc)`` pairs.
+        stages prefer the higher ARI priority and break ties round-robin:
+        the first requester at or after the arbiter's pointer wins, and
+        the pointer moves just past the winner.  ``port_bids[p]`` holds
+        that input's bids as ``(vc, out_port, prio)`` tuples, one per VC,
+        in VC order.  Each stage-1 pick is one scan of those bids; stage
+        2 keeps a running best per output (an input reaches each output
+        at most once).  Returns winning ``(in_port, vc)`` pairs, ordered
+        by each output's first stage-1 pick.
         """
         alloc = self.allocator
         in_arbs = alloc._input_arbiters
@@ -677,102 +648,52 @@ class Router:
         speedups = alloc.speedups
         nvc = self.num_vcs
         n_in = self.num_inputs
-
-        # -- stage 1: input selection (per input, independent) -------------
-        stage1 = []
+        best: List[Optional[tuple]] = [None] * 5  # output -> (in, vc, prio)
+        out_order = []
         for p in bid_ports:
             blist = port_bids[p]
             arb = in_arbs[p]
-            if len(blist) == 1:
-                # Single requester always wins its first round; any later
-                # budget rounds see an empty request vector and leave the
-                # pointer alone.
-                v, o, pr = blist[0]
+            budget = speedups.get(p, 1)
+            while True:
+                # -- stage 1: this input's next pick ----------------------
+                # In VC order, an equal-priority bid displaces the best
+                # only to move it from before the pointer to at/after it.
+                nxt = arb._next
+                win = None
+                for t in blist:
+                    pr = t[2]
+                    if win is None or pr > win_pr:
+                        win, win_pr, wrapped = t, pr, t[0] < nxt
+                    elif wrapped and pr == win_pr and t[0] >= nxt:
+                        win, wrapped = t, False
+                v, o, pr = win
                 nx = v + 1
                 arb._next = nx if nx < nvc else 0
-                stage1.append((p, v, o, pr))
-                continue
-            budget = speedups.get(p, 1)
-            chosen_mask = 0
-            remaining = blist
-            for _ in range(budget):
-                vec = [None] * nvc
-                vc_bid = [None] * nvc
-                any_req = False
-                for t in remaining:
-                    if (chosen_mask >> t[1]) & 1:
-                        continue
-                    v = t[0]
-                    cur = vec[v]
-                    if cur is None or t[2] > cur:
-                        vec[v] = t[2]
-                        vc_bid[v] = t
-                        any_req = True
-                if not any_req:
+                # -- stage 2: running best at output o --------------------
+                cur = best[o]
+                if cur is None:
+                    best[o] = (p, v, pr)
+                    out_order.append(o)
+                elif pr > cur[2]:
+                    best[o] = (p, v, pr)
+                elif pr == cur[2]:
+                    onxt = out_arbs[o]._next
+                    cp = cur[0]
+                    if (p - onxt) % n_in < (cp - onxt) % n_in:
+                        best[o] = (p, v, pr)
+                budget -= 1
+                if not budget:
                     break
-                nxt = arb._next
-                best_v = -1
-                best_prio = -1
-                for off in range(nvc):
-                    idx = nxt + off
-                    if idx >= nvc:
-                        idx -= nvc
-                    prv = vec[idx]
-                    if prv is not None and prv > best_prio:
-                        best_prio = prv
-                        best_v = idx
-                nx = best_v + 1
-                arb._next = nx if nx < nvc else 0
-                t = vc_bid[best_v]
-                stage1.append((p, t[0], t[1], t[2]))
-                chosen_mask |= 1 << t[1]
-                remaining = [t2 for t2 in remaining if t2[0] != best_v]
-
-        # -- stage 2: output arbitration (per output, independent) ---------
-        by_out = [None] * 5
-        out_order = []
-        for t in stage1:
-            o = t[2]
-            group = by_out[o]
-            if group is None:
-                by_out[o] = [t]
-                out_order.append(o)
-            else:
-                group.append(t)
+                # The winner goes too: it bid for output o.
+                blist = [t for t in blist if t[1] != o]
+                if not blist:
+                    break
         grants = []
         for o in out_order:
-            group = by_out[o]
-            arb = out_arbs[o]
-            if len(group) == 1:
-                t = group[0]
-                p = t[0]
-                nx = p + 1
-                arb._next = nx if nx < n_in else 0
-                grants.append((p, t[1]))
-                continue
-            vec = [None] * n_in
-            in_bid = [None] * n_in
-            for t in group:
-                p = t[0]
-                cur = vec[p]
-                if cur is None or t[3] > cur:
-                    vec[p] = t[3]
-                    in_bid[p] = t
-            nxt = arb._next
-            best_p = -1
-            best_prio = -1
-            for off in range(n_in):
-                idx = nxt + off
-                if idx >= n_in:
-                    idx -= n_in
-                prv = vec[idx]
-                if prv is not None and prv > best_prio:
-                    best_prio = prv
-                    best_p = idx
-            nx = best_p + 1
-            arb._next = nx if nx < n_in else 0
-            t = in_bid[best_p]
-            grants.append((best_p, t[1]))
+            p, v, _pr = best[o]
+            nx = p + 1
+            out_arbs[o]._next = nx if nx < n_in else 0
+            grants.append((p, v))
         return grants
 
     def _try_allocate(self, vc: VirtualChannel, pkt, vc_rule: int) -> bool:
@@ -781,15 +702,24 @@ class Router:
         ``vc_rule`` (from the wiring tables) inlines the routing's VC
         legality check for XY and minimal adaptive routing.
         """
-        candidates = vc.candidates or []
+        candidates = vc.candidates
         outs = self.output_ports
         routing = self.routing
         if routing.adaptive and len(candidates) > 1:
-            candidates = sorted(
-                candidates,
-                key=lambda p: -(outs[p].free_credit_total()
-                                if outs[p] is not None else -1),
-            )
+            # Freest downstream first (a stable sort by free credits).
+            if len(candidates) == 2:
+                a, b = candidates
+                oa, ob = outs[a], outs[b]
+                fa = oa.free_credit_total() if oa is not None else -1
+                fb = ob.free_credit_total() if ob is not None else -1
+                if fb > fa:
+                    candidates = (b, a)
+            else:
+                candidates = sorted(
+                    candidates,
+                    key=lambda p: -(outs[p].free_credit_total()
+                                    if outs[p] is not None else -1),
+                )
         escape = vc.escape if vc.escape is not None else LOCAL
         size = pkt.size
         for out_port in candidates:
@@ -813,17 +743,17 @@ class Router:
                     # packet cannot fit anywhere on this output.
                     continue
                 counts = credits.counts
-            for dvc in self._vc_order:
-                if vc_rule == 1:
-                    if dvc == 0 and out_port != escape:
-                        continue
-                elif vc_rule == 2 and not routing.vc_allowed(
-                    dvc, out_port, escape
-                ):
-                    continue
+            dvcs = self._vc_order
+            if vc_rule == 1 and out_port != escape:
+                dvcs = dvcs[:-1]  # escape VC 0 (last) is for the XY hop only
+            for dvc in dvcs:
                 if writer[dvc] is not None:
                     continue
                 if counts is not None and counts[dvc] < size:
+                    continue
+                if vc_rule == 2 and not routing.vc_allowed(
+                    dvc, out_port, escape
+                ):
                     continue
                 self._commit_allocation(vc, out, out_port, dvc, pkt)
                 return True

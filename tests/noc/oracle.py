@@ -12,6 +12,10 @@ compare the results byte for byte.
 * :func:`router_step` — credit delivery, ingest, route computation + VC
   allocation in round-robin order, bid collection, two-stage separable
   switch allocation (:func:`allocate`), switch traversal;
+* the flow-control primitives it is written in (:func:`deliver`,
+  :func:`restore`, :func:`consume`, :func:`vc_claimable`,
+  :func:`record_send`), which the simulator inlines into
+  :meth:`Router.step`;
 * :func:`core_step` — one core cycle without the dead-cycle memo;
 * :func:`bind_oracle` — rebinds those on a live network or system.
 
@@ -26,6 +30,59 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.noc.buffer import VCState
 from repro.noc.routing import LOCAL
+
+# -- flow-control primitives ---------------------------------------------------
+
+
+def deliver(channel, now: int) -> List[int]:
+    """Pop the VCs whose credits reach a credit channel's far end by ``now``."""
+    q = channel._in_flight
+    out: List[int] = []
+    while q and q[0][0] <= now:
+        out.append(q.popleft()[1])
+    return out
+
+
+def has_credit(credits, vc: int) -> bool:
+    return credits.counts[vc] > 0
+
+
+def free_space(credits, vc: int) -> int:
+    """Free downstream slots in ``vc`` (the WPF admission bound)."""
+    return credits.counts[vc]
+
+
+def consume(credits, vc: int) -> None:
+    if credits.counts[vc] <= 0:
+        raise RuntimeError(f"credit underflow on vc {vc}")
+    credits.counts[vc] -= 1
+    credits.total -= 1
+
+
+def restore(credits, vc: int) -> None:
+    if credits.counts[vc] >= credits.capacity:
+        raise RuntimeError(f"credit overflow on vc {vc}")
+    credits.counts[vc] += 1
+    credits.total += 1
+
+
+def vc_claimable(out, vc: int, size: int) -> bool:
+    """WPF: no writer streaming into ``vc`` and room for the whole packet."""
+    if out.writer[vc] is not None:
+        return False
+    if out.credits is not None and free_space(out.credits, vc) < size:
+        return False
+    return True
+
+
+def record_send(out, vc: int, pid: int) -> None:
+    """One flit of packet ``pid`` sent into ``vc``; frees the lock at the tail."""
+    if out.writer[vc] != pid:
+        raise RuntimeError("flit sent into a VC claimed by another packet")
+    out.writer_left[vc] -= 1
+    if out.writer_left[vc] == 0:
+        out.writer[vc] = None
+
 
 # -- separable input-first switch allocation ----------------------------------
 
@@ -155,8 +212,8 @@ def _deliver_credits(router, now: int) -> None:
     for out in router.output_ports:
         if out is None or out.credit_in is None or out.credits is None:
             continue
-        for vc in out.credit_in.deliver(now):
-            out.credits.restore(vc)
+        for vc in deliver(out.credit_in, now):
+            restore(out.credits, vc)
 
 
 def _ingest(router, now: int) -> None:
@@ -164,7 +221,11 @@ def _ingest(router, now: int) -> None:
     for port_idx, link in enumerate(router.input_links):
         if link is None:
             continue
-        for flit in link.arrivals(now):
+        # A SplitNI input bundles several links; read them in order.
+        for flit in [
+            f for lk in getattr(link, "links", (link,))
+            for f in lk.arrivals(now)
+        ]:
             vc = flit.out_vc
             if vc is None:
                 raise RuntimeError("arriving flit has no VC assignment")
@@ -214,7 +275,7 @@ def _try_allocate(router, vc, pkt) -> bool:
         for dvc in router._vc_order:
             if not routing.vc_allowed(dvc, out_port, escape):
                 continue
-            if not out.vc_claimable(dvc, pkt.size):
+            if not vc_claimable(out, dvc, pkt.size):
                 continue
             router._commit_allocation(vc, out, out_port, dvc, pkt)
             return True
@@ -290,8 +351,8 @@ def _traverse(router, winners: List[Bid], now: int) -> int:
         port.occ -= 1
         router._occ -= 1
         if out.credits is not None:
-            out.credits.consume(out_vc)
-        out.record_send(out_vc, flit.packet.pid)
+            consume(out.credits, out_vc)
+        record_send(out, out_vc, flit.packet.pid)
         out.link.send(flit, now)
         # Return the freed buffer slot upstream.
         if port.is_injection:

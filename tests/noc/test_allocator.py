@@ -6,10 +6,14 @@ differentially tested against, over the allocator state in
 ``repro.noc.allocator``.
 """
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.noc.allocator import RoundRobinArbiter, SwitchAllocator
+from repro.noc.router import Router
+from repro.noc.routing import XYRouting
 
 from tests.noc.oracle import Bid, allocate, grant, grant_prioritized
 
@@ -155,3 +159,59 @@ def test_allocator_invariants(bids, inj_speedup):
     # 4. work conservation: if any bid exists, someone wins
     if uniq:
         assert winners
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bids=st.lists(
+        st.tuples(
+            st.integers(0, 5),  # in_port (4 and 5 are injection ports)
+            st.integers(0, 3),  # vc
+            st.integers(0, 4),  # out_port
+            st.integers(0, 3),  # priority
+        ),
+        max_size=24,
+    ),
+    in_ptrs=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+    out_ptrs=st.lists(st.integers(0, 5), min_size=5, max_size=5),
+    speedup=st.integers(1, 4),
+)
+def test_router_allocation_matches_oracle(bids, in_ptrs, out_ptrs, speedup):
+    """The router's single-pass arbitration equals the two-stage oracle.
+
+    Same grants in the same order, and the same round-robin pointers
+    afterwards, from any pointer state and any mix of priorities.
+    """
+    router = Router(
+        0, (0, 0), XYRouting(), num_vcs=4, num_injection_ports=2,
+        injection_speedup=speedup,
+    )
+    alloc = router.allocator
+    for arb, ptr in zip(alloc._input_arbiters, in_ptrs):
+        arb._next = ptr
+    for arb, ptr in zip(alloc._output_arbiters, out_ptrs):
+        arb._next = ptr
+    twin = copy.deepcopy(alloc)
+    # Router.step lists one bid per VC, in VC order, per bidding input.
+    port_bids = [None] * router.num_inputs
+    bid_ports = []
+    for ip, vc, op, pr in bids:
+        if port_bids[ip] is None:
+            port_bids[ip] = []
+            bid_ports.append(ip)
+        if all(t[0] != vc for t in port_bids[ip]):
+            port_bids[ip].append((vc, op, pr))
+    for blist in port_bids:
+        if blist:
+            blist.sort()
+
+    grants = router._allocate(bid_ports, port_bids) if bid_ports else []
+    winners = allocate(twin, [
+        Bid(p, vc, op, pr) for p in bid_ports for vc, op, pr in port_bids[p]
+    ])
+    assert grants == [(w.in_port, w.vc) for w in winners]
+    for ours, theirs in (
+        (alloc._input_arbiters, twin._input_arbiters),
+        (alloc._output_arbiters, twin._output_arbiters),
+    ):
+        assert [a._next for a in ours] == [a._next for a in theirs]

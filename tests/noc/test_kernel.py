@@ -243,6 +243,37 @@ class TestFaultedNetworks:
         assert _run_network(False, **kwargs) == _run_network(True, **kwargs)
 
 
+    def test_repair_wakes_head_blocked_on_pinned_port(self):
+        # XY routes 4 -> 7 east along row 1, through r5's East output.
+        # The port fault pins every VC of that output until cycle 60.
+        # With detour off nothing recomputes the route, so the head
+        # waiting at r5 is retried only because the repair's unpin
+        # bumps r5's _freed counter for that output.
+        def run(oracle):
+            net = Network(NetworkConfig(width=4, height=4))
+            if oracle:
+                bind_oracle(net)
+            FaultInjector(
+                net, FaultPlan.parse("port:r6.W@0+60"), detour=False
+            ).install()
+            delivered = []
+            net.on_delivery = lambda node, pkt, now: delivered.append(now)
+            net.step()
+            assert net.offer(4, Packet(PacketType.READ_REPLY, 4, 7, 5, 1))
+            for _ in range(58):
+                net.step()
+            blocked_until_repair = not delivered
+            for _ in range(40):
+                net.step()
+            return blocked_until_repair, delivered, network_snapshot(net)
+
+        live = run(False)
+        assert live == run(True)
+        blocked_until_repair, delivered, _ = live
+        assert blocked_until_repair
+        assert len(delivered) == 1 and 60 < delivered[0] <= 70
+
+
 class TestSystemEquivalence:
     @pytest.mark.parametrize("scheme", MAIN_SCHEMES)
     def test_schemes_match(self, scheme, monkeypatch):

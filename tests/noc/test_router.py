@@ -8,6 +8,8 @@ from repro.noc.link import Link
 from repro.noc.router import Router
 from repro.noc.routing import EAST, WEST, MinimalAdaptiveRouting, XYRouting
 
+from tests.noc.oracle import consume
+
 
 def make_router(routing=None, coords=(1, 0), **kw):
     r = Router(
@@ -104,7 +106,7 @@ class TestCredits:
         for port in [router.output_ports[EAST]]:
             for vc in range(4):
                 for _ in range(9):
-                    port.credits.consume(vc)
+                    consume(port.credits, vc)
         pkt = Packet(PacketType.READ_REPLY, 0, 3, 2, 0)
         inject(inj, pkt)
         for t in range(1, 10):
@@ -119,7 +121,7 @@ class TestCredits:
         port = router.output_ports[EAST]
         for vc in range(4):
             for _ in range(9):
-                port.credits.consume(vc)
+                consume(port.credits, vc)
         pkt = Packet(PacketType.READ_REPLY, 0, 3, 2, 0)
         inject(inj, pkt)
         for t in range(1, 6):
