@@ -2,14 +2,13 @@
 
 PY ?= python
 
-.PHONY: install test check flowcheck taintlint bench figures figures-paper telemetry-demo sweep-demo faults-demo search-demo cost clean-cache loc help
+.PHONY: install test check flowcheck bench figures figures-paper telemetry-demo sweep-demo faults-demo search-demo cost clean-cache loc help
 
 help:
 	@echo "make install        editable install"
 	@echo "make test           full unit/integration/property suite"
 	@echo "make check          static model checks + code lints (+ ruff if installed)"
 	@echo "make flowcheck      CI's repro-check job: model checks + all code lints, strict"
-	@echo "make taintlint      just the taint provers (cache-key soundness, zero overhead)"
 	@echo "make bench          regenerate every figure at CI scale"
 	@echo "make figures        regenerate figures at quick scale (9 benchmarks)"
 	@echo "make figures-paper  full 30-benchmark regeneration (~1h)"
@@ -35,17 +34,11 @@ check:
 
 # Mirrors CI's `repro-check` job exactly: the pre-run model checks for
 # every registered scheme, then all code lints (determinism, unit
-# inference, credit conservation, pool captures, taint provers) strict against the committed staticcheck-baseline.json.
+# inference, credit conservation, pool captures) strict against the
+# committed staticcheck-baseline.json.
 flowcheck:
 	PYTHONPATH=src $(PY) -m repro check --all-schemes --json -
 	PYTHONPATH=src $(PY) -m repro check --code src/repro --strict --json -
-
-# Just the taint provers: cache-key soundness, the zero-overhead
-# contract for disabled telemetry/fault subsystems, and environmental
-# values (wall-clock/RNG) flowing into results.
-taintlint:
-	PYTHONPATH=src $(PY) -m repro check --code src/repro --no-baseline \
-		--taint --strict
 
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only

@@ -395,10 +395,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"{rid:{width}s}  [{family:5s}] {desc}")
         return 0
 
-    TAINT_RULES = ["cachekey-unsound", "overhead-not-free", "det-taint"]
     rules = list(args.rule)
-    if args.taint:
-        rules.extend(r for r in TAINT_RULES if r not in rules)
     try:
         runner = CheckRunner(rules=rules or None, strict=args.strict)
     except ValueError as exc:
@@ -695,12 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chk.add_argument("--rule", action="append", default=[], metavar="ID",
                      help="only report these rule ids; repeatable")
-    chk.add_argument(
-        "--taint", action="store_true",
-        help="select the interprocedural taint rules (cachekey-unsound, "
-             "overhead-not-free, det-taint) for --code; combines with "
-             "--rule",
-    )
     chk.add_argument("--strict", action="store_true",
                      help="exit non-zero on warnings too")
     chk.add_argument("--json", default=None, metavar="FILE",

@@ -1,32 +1,24 @@
-"""repro.staticcheck — pre-simulation model verification + determinism lint.
+"""repro.staticcheck — pre-simulation model verification + code lints.
 
 Proves, before a single cycle runs, the properties the simulator
 otherwise only observes at runtime: escape-network deadlock freedom
 (channel-dependency-graph acyclicity + reachability, per fault epoch),
 the paper's Eq. 1 / Eq. 2 injection-speedup sizing, queue/credit/VC
 partition sanity — plus AST/dataflow code lints over the simulator
-sources and an interprocedural taint analysis that proves cache-key
-soundness.  See ``docs/staticcheck.md`` for the rule catalog and
-the ``repro check`` CLI subcommand for the command-line front end.
+sources (determinism, units, credit protocol, pool captures).  See
+``docs/staticcheck.md`` for the rule catalog and the ``repro check``
+CLI subcommand for the command-line front end.
+
+The package root re-exports the model checks, the pre-run gate and
+their report types only.  The code-lint engines (``callgraph``,
+``flow`` and the lint passes) are imported from their submodules when
+a code check runs, so :func:`validate_spec` callers never load them.
 """
 
 from repro.staticcheck.baseline import DEFAULT_BASELINE
 from repro.staticcheck.baseline import apply as apply_baseline
 from repro.staticcheck.baseline import load as load_baseline
 from repro.staticcheck.baseline import save as save_baseline
-from repro.staticcheck.callgraph import (
-    CallGraph,
-    CallSite,
-    FunctionNode,
-    build_call_graph,
-)
-from repro.staticcheck.flow import (
-    CFG,
-    BasicBlock,
-    BranchCondition,
-    ForwardAnalysis,
-    build_cfg,
-)
 from repro.staticcheck.cdg import (
     EscapeGraph,
     EscapeTrace,
@@ -54,19 +46,12 @@ from repro.staticcheck.runner import (
 )
 
 __all__ = [
-    "CFG",
     "DEFAULT_BASELINE",
     "RULES",
     "STATICCHECK_ENV",
-    "BasicBlock",
-    "BranchCondition",
-    "CallGraph",
-    "CallSite",
     "CheckReport",
     "CheckRunner",
     "Diagnostic",
-    "ForwardAnalysis",
-    "FunctionNode",
     "EscapeGraph",
     "EscapeTrace",
     "ModelInputs",
@@ -75,8 +60,6 @@ __all__ = [
     "StaticCheckWarning",
     "all_pairs_unreachable",
     "apply_baseline",
-    "build_call_graph",
-    "build_cfg",
     "build_escape_cdg",
     "channel_name",
     "check_model",

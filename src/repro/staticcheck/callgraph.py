@@ -1,7 +1,7 @@
 """Module-aware call graph over a set of Python sources.
 
-The interprocedural analyses in :mod:`repro.staticcheck` (taint
-summaries, cross-module lint reasoning) all need the same substrate:
+The interprocedural lints in :mod:`repro.staticcheck` (determinism
+reach chains, protocol paths, pool captures) all need the same substrate:
 *who calls whom*, resolved across modules, with class inheritance
 flattened.  This module builds it once per check run:
 
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import ast
 from typing import (
-    Callable,
     Dict,
     Iterable,
     List,
@@ -270,20 +269,6 @@ def chain_of(
     return None
 
 
-def chain_segments(chain: str) -> List[str]:
-    """Split a chain into its dotted segments (``[]`` marks retained)."""
-    return chain.split(".")
-
-
-def final_attr(chain: str) -> Optional[str]:
-    """The last *attribute* segment of a chain, without ``[]`` marks."""
-    for segment in reversed(chain.split(".")):
-        name = segment.replace("[]", "")
-        if name:
-            return name
-    return None
-
-
 class CallGraph:
     """The resolved call graph over a set of modules."""
 
@@ -371,121 +356,6 @@ class CallGraph:
                         callers.setdefault(target, []).append((caller, site))
             self._callers = callers
         return list(self._callers.get(qname, []))
-
-    def reachable(
-        self,
-        roots: Iterable[str],
-        skip: Optional[Callable[[str, CallSite], bool]] = None,
-    ) -> List[str]:
-        """Function qnames reachable from ``roots`` (inclusive), BFS order.
-
-        ``skip(caller_qname, site)`` excludes individual call edges.
-        """
-        seen: Dict[str, None] = {}
-        queue = [r for r in roots if r in self.functions]
-        for r in queue:
-            seen.setdefault(r, None)
-        while queue:
-            cur = queue.pop(0)
-            for site in self.calls.get(cur, []):
-                if skip is not None and skip(cur, site):
-                    continue
-                for target in site.targets:
-                    if target in self.functions and target not in seen:
-                        seen[target] = None
-                        queue.append(target)
-        return list(seen)
-
-    def call_chain(
-        self,
-        src: str,
-        dst: str,
-        skip: Optional[Callable[[str, CallSite], bool]] = None,
-    ) -> Optional[List[str]]:
-        """Shortest qname path ``src -> ... -> dst``, or None."""
-        if src == dst:
-            return [src]
-        parents: Dict[str, str] = {src: src}
-        queue = [src]
-        while queue:
-            cur = queue.pop(0)
-            for site in self.calls.get(cur, []):
-                if skip is not None and skip(cur, site):
-                    continue
-                for target in site.targets:
-                    if target in parents or target not in self.functions:
-                        continue
-                    parents[target] = cur
-                    if target == dst:
-                        chain = [target]
-                        while chain[-1] != src:
-                            chain.append(parents[chain[-1]])
-                        return list(reversed(chain))
-                    queue.append(target)
-        return None
-
-    def sccs(self) -> List[List[str]]:
-        """Strongly connected components (Tarjan).
-
-        Emitted in reverse topological order of the condensation: every
-        SCC appears before any SCC that calls into it, so effect
-        summaries can be folded in one forward pass over the result.
-        """
-        index: Dict[str, int] = {}
-        lowlink: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        out: List[List[str]] = []
-        counter = [0]
-
-        def targets_of(qname: str) -> List[str]:
-            seen: List[str] = []
-            for site in self.calls.get(qname, []):
-                for t in site.targets:
-                    if t in self.functions:
-                        seen.append(t)
-            return seen
-
-        def strongconnect(v: str) -> None:
-            # Iterative Tarjan: (node, iterator-position) frames.
-            work = [(v, 0)]
-            while work:
-                node, pos = work.pop()
-                if pos == 0:
-                    index[node] = lowlink[node] = counter[0]
-                    counter[0] += 1
-                    stack.append(node)
-                    on_stack.add(node)
-                recurse = False
-                succs = targets_of(node)
-                for i in range(pos, len(succs)):
-                    succ = succs[i]
-                    if succ not in index:
-                        work.append((node, i + 1))
-                        work.append((succ, 0))
-                        recurse = True
-                        break
-                    if succ in on_stack:
-                        lowlink[node] = min(lowlink[node], index[succ])
-                if recurse:
-                    continue
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index[node]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        component.append(w)
-                        if w == node:
-                            break
-                    out.append(sorted(component))
-
-        for qname in sorted(self.functions):
-            if qname not in index:
-                strongconnect(qname)
-        return out
 
     # -- lookups -------------------------------------------------------------
     def resolve_name(self, module: str, name: str) -> Optional[str]:

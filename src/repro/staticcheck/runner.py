@@ -1,7 +1,7 @@
 """CheckRunner — one front door for every static analysis, plus the gate.
 
 :class:`CheckRunner` exposes the model checks (scheme/spec level) and the
-code checks (determinism/unit/protocol/pool/cache-key lints) behind
+code checks (determinism/unit/protocol/pool lints) behind
 one object that filters by rule id and
 renders one :class:`~repro.staticcheck.diagnostics.CheckReport`.  The
 code checks share a single interprocedural call graph per invocation.
@@ -146,23 +146,6 @@ RULES: Dict[str, tuple] = {
         "no lambdas, closures, or bound methods submitted to the "
         "process pool (captured state is copied, not shared)",
     ),
-    "cachekey-unsound": (
-        "code",
-        "no RunSpec field excluded from key() may influence the cached "
-        "payload (always-excluded: any flow; when-None-excluded: any "
-        "unguarded flow)",
-    ),
-    "overhead-not-free": (
-        "code",
-        "with telemetry/faults off, no ungated path from the simulation "
-        "entry points may reach a collector/injector/probe method",
-    ),
-    "det-taint": (
-        "code",
-        "no wall-clock or unseeded-RNG value may flow into returned "
-        "results or stats state (interprocedural; '# taint: sanitize' "
-        "discharges diagnostic-only flows)",
-    ),
 }
 
 
@@ -227,11 +210,9 @@ class CheckRunner:
 
         One call graph (with the component receiver hints) serves every
         graph-aware lint: det/pool run per file against it, while the
-        protocol and cache-key passes are inherently whole-graph and run
-        once.
+        protocol pass is inherently whole-graph and runs once.
         """
         from repro.staticcheck import (
-            cachelint,
             detlint,
             poollint,
             protolint,
@@ -246,11 +227,10 @@ class CheckRunner:
             report.extend(unitlint.lint_source(text, path))
             report.extend(poollint.lint_source(text, path, graph=graph))
         report.extend(protolint.lint_graph(graph))
-        report.extend(cachelint.lint_graph(graph))
         return self._filtered(report)
 
     def check_source(self, text: str, path: str = "<string>") -> CheckReport:
-        """All code lints (det/unit/proto/pool/cache) over one module."""
+        """All code lints (det/unit/proto/pool) over one module."""
         return self._code_reports([(path, text)])
 
     def check_paths(self, paths: Sequence[str]) -> CheckReport:

@@ -1,5 +1,7 @@
 """Tests for the experiment runner and cache."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.runner import (
@@ -19,11 +21,25 @@ class TestRunSpec:
         assert a.key() == b.key()
 
     def test_key_differs_on_any_field(self):
+        # Every field but the kernel name (validated only; both names run
+        # the same loop) must reach the key, or the store would serve one
+        # run's result for another.
         base = RunSpec("bfs", "xy-baseline")
-        assert base.key() != RunSpec("bfs", "xy-ari").key()
-        assert base.key() != RunSpec("bfs", "xy-baseline", cycles=999).key()
-        assert base.key() != RunSpec("bfs", "xy-baseline", seed=4).key()
-        assert base.key() != RunSpec("bfs", "xy-baseline", mesh=8).key()
+        keys = {base.key()}
+        for field in dataclasses.fields(RunSpec):
+            if field.name == "kernel":
+                continue
+            value = getattr(base, field.name)
+            if "bool" in str(field.type):
+                changed = value is None or not value
+            elif "int" in str(field.type):
+                changed = (value or 0) + 1
+            else:
+                changed = f"{value}-changed"
+            spec = dataclasses.replace(base, **{field.name: changed})
+            assert spec.key() not in keys, field.name
+            keys.add(spec.key())
+        assert len(keys) == len(dataclasses.fields(RunSpec))
 
 
 class TestBuildSystem:

@@ -17,7 +17,8 @@ compare the results byte for byte.
   :func:`record_send`), which the simulator inlines into
   :meth:`Router.step`;
 * :func:`core_step` — one core cycle without the dead-cycle memo;
-* :func:`bind_oracle` — rebinds those on a live network or system.
+* :func:`bind_oracle` — rebinds those on a live network or system;
+* :func:`deep_state` — the in-flight state end-of-run counters can miss.
 
 Arbitration state (the VA pointer ``_va_rr`` and the arbiters' ``_next``
 pointers) lives on the same router objects either way.
@@ -425,3 +426,72 @@ def bind_oracle(target) -> None:
     for net in nets:
         for router in getattr(net, "routers", ()):
             router.step = types.MethodType(router_step, router)
+
+
+# -- in-flight state -------------------------------------------------------------
+
+
+def deep_state(net) -> Dict[str, object]:
+    """Arbitration, credit, lock and buffer state of a mesh network.
+
+    Complements ``network_snapshot``, whose counters agree whenever two
+    runs moved the same flits in total, even if a pointer, a credit or a
+    buffered flit differs at the end.  Packet ids come from a
+    process-wide counter, so they are relabelled in order of first
+    appearance; the fault pin ``FAULT_PID`` keeps its value.
+    """
+    labels: Dict[int, int] = {}
+
+    def pid(value):
+        if value is None or value < 0:
+            return value
+        return labels.setdefault(value, len(labels))
+
+    def flit(f):
+        pkt = f.packet
+        return (pid(pkt.pid), int(pkt.ptype), pkt.src, pkt.dest, pkt.priority,
+                f.seq, f.is_head, f.is_tail, f.vc, f.out_port, f.out_vc)
+
+    routers = []
+    for r in net.routers:
+        alloc = r.allocator
+        routers.append({
+            "va_rr": r._va_rr,
+            "occ": [r._occ] + [port.occ for port in r.input_ports],
+            "in_arb": [a._next for a in alloc._input_arbiters],
+            "out_arb": [a._next for a in alloc._output_arbiters],
+            "vcs": [
+                [(vc.state.name, vc.out_port, vc.out_vc, vc.wait_since,
+                  [flit(f) for f in vc.fifo]) for vc in port.vcs]
+                for port in r.input_ports
+            ],
+            "outputs": [
+                None if out is None else (
+                    None if out.credits is None
+                    else (list(out.credits.counts), out.credits.total),
+                    [pid(w) for w in out.writer], list(out.writer_left),
+                )
+                for out in r.output_ports
+            ],
+            "credit_out": [
+                None if ch is None else list(ch._in_flight)
+                for ch in r.credit_out
+            ],
+        })
+    return {
+        "routers": routers,
+        "links": [
+            [(at, flit(f)) for at, f in link._pipe]
+            for links in (net.mesh_links, net.injection_links,
+                          net.ejection_links)
+            for link in links
+        ],
+        "nis": [
+            (
+                [[flit(f) for f in q]
+                 for q in getattr(ni, "queues", [getattr(ni, "queue", ())])],
+                sorted(ni.credits.items()),
+            )
+            for ni in net.nis
+        ],
+    }

@@ -5,9 +5,10 @@ pipeline (``Router.step``) and the memoized core step
 (``Core.step_core_cycle``).  Each differential test here runs the same
 network or system twice — once as shipped, once with every router and
 core bound to the readable pipelines in ``tests/noc/oracle.py`` — and
-compares :func:`network_snapshot` / :func:`result_payload` byte for
-byte.  Kernel names, the deadlock watchdog and a few pinned faulted-run
-digests are covered too.
+compares :func:`network_snapshot` / :func:`result_payload` plus the
+oracle's :func:`deep_state` (arbiter pointers, credits, writer locks,
+buffered flits) byte for byte.  Kernel names, the deadlock watchdog and
+a few pinned faulted-run digests are covered too.
 """
 
 import ast
@@ -28,7 +29,7 @@ from repro.noc.ni import NIKind
 from repro.noc.topology import default_placement
 from repro.workloads.traffic import ReplyTrafficPattern, SyntheticTrafficGenerator
 
-from tests.noc.oracle import bind_oracle
+from tests.noc.oracle import bind_oracle, deep_state
 
 MAIN_SCHEMES = (
     "xy-baseline", "xy-ari", "ada-baseline", "ada-multiport", "ada-ari",
@@ -105,6 +106,7 @@ def _run_network(
         hook()
     gen.run(cycles - done)
     snap = network_snapshot(net)
+    snap["deep"] = deep_state(net)
     snap["gen"] = [gen.offered, gen.blocked, gen.stall_cycles]
     return snap
 
@@ -117,22 +119,33 @@ _BUILD_SYSTEM = executor.build_system
 
 
 def _use_oracle(monkeypatch, oracle):
-    """Make ``simulate_spec`` build systems stepped by the oracle (or not)."""
+    """Make ``simulate_spec`` build systems stepped by the oracle (or not).
+
+    Returns the list the built systems are appended to.
+    """
+    built = []
 
     def build(spec):
         system = _BUILD_SYSTEM(spec)
         if oracle:
             bind_oracle(system)
+        built.append(system)
         return system
 
     monkeypatch.setattr(executor, "build_system", build)
+    return built
 
 
 def _system_payload(spec, monkeypatch, oracle, check_invariants=None):
-    _use_oracle(monkeypatch, oracle)
-    return result_payload(
+    built = _use_oracle(monkeypatch, oracle)
+    payload = result_payload(
         executor.simulate_spec(spec, check_invariants=check_invariants)
     )
+    (system,) = built
+    payload["deep"] = [
+        deep_state(system.request_net), deep_state(system.reply_net)
+    ]
+    return payload
 
 
 def _assert_system_matches(spec, monkeypatch, **kwargs):
@@ -209,9 +222,29 @@ class TestNetworkEquivalence:
                 bind_oracle(net)
             for _ in range(200):
                 net.step()
-            snaps.append(network_snapshot(net))
+            snaps.append((network_snapshot(net), deep_state(net)))
         assert snaps[0] == snaps[1]
-        assert snaps[0]["delivered"] == 0
+        assert snaps[0][0]["delivered"] == 0
+
+    def test_deep_state_sees_what_counters_miss(self):
+        # Counters agree whenever the same flits moved in total; an
+        # arbiter pointer, a credit or a writer lock must still show.
+        net = Network(NetworkConfig(width=4, height=4))
+        for _ in range(10):
+            net.step()
+        router = net.routers[5]
+        out = next(o for o in router.output_ports if o and o.credits)
+        snap = network_snapshot(net)
+        pokes = (
+            lambda: setattr(router.allocator._output_arbiters[0], "_next", 1),
+            lambda: out.credits.counts.__setitem__(0, 0),
+            lambda: out.writer.__setitem__(0, 7),
+        )
+        for poke in pokes:
+            deep = deep_state(net)
+            poke()
+            assert network_snapshot(net) == snap
+            assert deep_state(net) != deep
 
 
 # Fault plans per kind, timed after the mid-run install at cycle 200.
@@ -265,11 +298,12 @@ class TestFaultedNetworks:
             blocked_until_repair = not delivered
             for _ in range(40):
                 net.step()
-            return blocked_until_repair, delivered, network_snapshot(net)
+            return (blocked_until_repair, delivered, network_snapshot(net),
+                    deep_state(net))
 
         live = run(False)
         assert live == run(True)
-        blocked_until_repair, delivered, _ = live
+        blocked_until_repair, delivered = live[:2]
         assert blocked_until_repair
         assert len(delivered) == 1 and 60 < delivered[0] <= 70
 

@@ -5,7 +5,6 @@ import textwrap
 from repro.staticcheck.callgraph import (
     build_call_graph,
     chain_of,
-    final_attr,
     module_name_for,
 )
 
@@ -164,38 +163,6 @@ class TestQueries:
         assert flat["a"].qname == "m.Base.a"
         assert flat["b"].qname == "m.Derived.b"
 
-    def test_reachable_and_call_chain(self):
-        g = graph_of(m="""
-            def a():
-                b()
-
-            def b():
-                c()
-
-            def c():
-                pass
-        """)
-        assert set(g.reachable(["m.a"])) == {"m.a", "m.b", "m.c"}
-        assert g.call_chain("m.a", "m.c") == ["m.a", "m.b", "m.c"]
-
-    def test_recursive_scc_groups_cycle(self):
-        g = graph_of(m="""
-            def even(n):
-                return n == 0 or odd(n - 1)
-
-            def odd(n):
-                return n != 0 and even(n - 1)
-
-            def entry(n):
-                return even(n)
-        """)
-        sccs = [set(s) for s in g.sccs()]
-        assert {"m.even", "m.odd"} in sccs
-        # reverse-topological: the cycle is emitted before its caller
-        cycle_pos = sccs.index({"m.even", "m.odd"})
-        entry_pos = sccs.index({"m.entry"})
-        assert cycle_pos < entry_pos
-
     def test_function_at_finds_innermost(self):
         src = textwrap.dedent("""
             class C:
@@ -218,9 +185,7 @@ class TestChains:
         import ast
 
         expr = ast.parse("self.routers[3].vcs", mode="eval").body
-        chain = chain_of(expr, {})
-        assert chain == "self.routers[].vcs"
-        assert final_attr(chain) == "vcs"
+        assert chain_of(expr, {}) == "self.routers[].vcs"
 
 
 class TestWalrusAndZip:

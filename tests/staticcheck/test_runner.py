@@ -41,8 +41,7 @@ class TestRuleCatalog:
         assert not set(model) & set(code)
         assert all(
             r.startswith(
-                ("det-", "unit-", "proto-", "pool-", "cachekey-",
-                 "overhead-")
+                ("det-", "unit-", "proto-", "pool-")
             )
             for r in code
         )

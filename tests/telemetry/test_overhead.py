@@ -5,9 +5,11 @@ nothing beyond a single ``is None`` check at the network/system step
 level.  Routers and NIs — the per-flit inner loop — must not reference
 telemetry at all; we assert that structurally (no ``telemetry`` name in
 their compiled code) and behaviorally (identical simulation results with
-and without a collector).
+and without a collector), and a plain run never builds or attaches one.
 """
 
+from repro.experiments.executor import simulate_spec
+from repro.experiments.runner import RunSpec
 from repro.gpu.system import GPGPUSystem
 from repro.noc import Network, NetworkConfig
 from repro.noc.network import PerfectNetwork
@@ -79,3 +81,24 @@ class TestBehavioral:
         assert (sampled.stats.flit_hops_delivered
                 == plain.stats.flit_hops_delivered)
         assert sampled.stats.mean_latency() == plain.stats.mean_latency()
+
+    def test_plain_run_never_builds_a_collector(self, monkeypatch):
+        # A spec without telemetry must not construct or attach a
+        # collector anywhere in the one run pipeline.
+        calls = []
+
+        def spy(cls, name):
+            real = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(f"{cls.__name__}.{name}")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        spy(TelemetryCollector, "__init__")
+        spy(GPGPUSystem, "attach_telemetry")
+        spec = RunSpec("bfs", "ada-ari", cycles=120, warmup=30, mesh=4)
+        result = simulate_spec(spec)
+        assert result.instructions > 0
+        assert calls == []

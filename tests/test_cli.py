@@ -465,51 +465,6 @@ class TestCheckBaseline:
         rc = main(["check", "--code", "src/repro", "--strict"])
         assert rc == 0, capsys.readouterr().out
 
-
-class TestCheckTaint:
-    LEAKY_API = (
-        "import dataclasses\n"
-        "\n"
-        "\n"
-        "@dataclasses.dataclass\n"
-        "class Spec:\n"
-        "    benchmark: str\n"
-        "    kernel: str = None\n"
-        "\n"
-        "    def key(self):\n"
-        "        payload = dataclasses.asdict(self)\n"
-        "        del payload[\"kernel\"]\n"
-        "        return str(payload)\n"
-        "\n"
-        "\n"
-        "def run(spec, store):\n"
-        "    payload = {\"backend\": spec.kernel}\n"
-        "    store.put(spec.key(), payload)\n"
-        "    return payload\n"
-    )
-
-    def test_taint_flag_selects_only_taint_rules(self, capsys, tmp_path):
-        # unit-mix material only: invisible under --taint
-        (tmp_path / "sim.py").write_text(
-            "def f(now, payload_flits):\n"
-            "    return now + payload_flits\n"
-        )
-        rc = main(
-            ["check", "--code", str(tmp_path), "--taint",
-             "--no-baseline", "--strict"]
-        )
-        assert rc == 0
-        assert "unit-mix" not in capsys.readouterr().out
-
-    def test_taint_flag_catches_cachekey_leak(self, capsys, tmp_path):
-        (tmp_path / "api.py").write_text(self.LEAKY_API)
-        rc = main(
-            ["check", "--code", str(tmp_path), "--taint",
-             "--no-baseline"]
-        )
-        assert rc == 1
-        assert "cachekey-unsound" in capsys.readouterr().out
-
     def test_update_baseline_reports_pruned_entries(
         self, capsys, tmp_path
     ):
