@@ -7,10 +7,13 @@ instruction executed (``sys.settrace`` opcode events) and every call into
 C (``sys.setprofile`` ``c_call`` events), folded by the module of the
 code that ran them: ``noc.router``, ``noc.network``, ``gpu.core`` and so
 on, the layer names of ``BENCHMARK.json``; code outside ``repro`` is
-``other``.  It also records router visits, VC allocation attempts and
-successful VC claims as call counts of ``Router.step``,
-``Router._try_allocate`` and ``Router._commit_allocation``; attempts
-minus claims are the allocations that failed.
+``other``.  Router steps generated per shape (``repro.noc.stepgen``,
+file names ``<repro.noc.router step, ...>``) count as ``noc.router``.
+It also records router visits, VC allocation attempts and successful VC
+claims as call counts of ``Router.step``, ``Router._try_allocate`` and
+``Router._commit_allocation`` (attempts minus claims are the allocations
+that failed), and, from the values ``Router.step`` returns, the flits
+switched and the visits that moved no flit (``empty_visits``).
 
 Each simulation runs in a fresh interpreter with a fixed hash seed, so
 the counts repeat exactly and the gate is equality with the table pinned
@@ -33,6 +36,7 @@ import concurrent.futures
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -59,6 +63,9 @@ CASES = {
 }
 # Seconds-long case for the gate's self-tests; never pinned.
 TINY = "noc-tiny"
+
+# The file name repro.noc.stepgen compiles generated code under.
+GENERATED = re.compile(r"<repro\.([\w.]+) ")
 
 
 # -- measuring (runs in the child interpreter) --------------------------------
@@ -108,6 +115,8 @@ def count(run, package_dir: str) -> dict:
     opcodes = defaultdict(int)
     calls = defaultdict(int)
     c_calls = defaultdict(int)
+    returned = defaultdict(int)  # id(code) -> sum of returned ints
+    zeros = defaultdict(int)     # id(code) -> returns of 0
 
     def local(frame, event, arg):
         if event == "opcode":
@@ -127,6 +136,11 @@ def count(run, package_dir: str) -> dict:
             code = frame.f_code
             codes[id(code)] = code
             c_calls[id(code)] += 1
+        elif event == "return" and type(arg) is int:
+            key = id(frame.f_code)
+            returned[key] += arg
+            if arg == 0:
+                zeros[key] += 1
 
     sys.setprofile(profile)
     sys.settrace(trace)
@@ -140,6 +154,9 @@ def count(run, package_dir: str) -> dict:
 
     def layer(code) -> str:
         path = code.co_filename
+        generated = GENERATED.match(path)
+        if generated:
+            return generated.group(1)
         if not path.startswith(prefix) or not path.endswith(".py"):
             return "other"
         name = path[len(prefix):-3].replace(os.sep, ".")
@@ -151,16 +168,18 @@ def count(run, package_dir: str) -> dict:
             out[layer(codes[key])] += n
         return dict(sorted(out.items()))
 
-    def router_calls(*names) -> int:
+    def router_calls(name, counts=calls) -> int:
         return sum(
-            n for key, n in calls.items()
-            if codes[key].co_name in names and layer(codes[key]) == "noc.router"
+            n for key, n in counts.items()
+            if codes[key].co_name == name and layer(codes[key]) == "noc.router"
         )
 
     return {
         "opcodes": fold(opcodes),
         "c_calls": fold(c_calls),
         "router_visits": router_calls("step"),
+        "flits_switched": router_calls("step", returned),
+        "empty_visits": router_calls("step", zeros),
         "alloc_attempts": router_calls("_try_allocate"),
         "alloc_claims": router_calls("_commit_allocation"),
     }

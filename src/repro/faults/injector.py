@@ -200,8 +200,8 @@ class FaultInjector:
             self.network.routing = wrapped
             for router in self.network.routers:
                 router.routing = wrapped
-                # Router.step folds the routing class into its cached
-                # wiring tables; rebuild them for the wrapper.
+                # The routing class is part of the router's generated
+                # step (repro.noc.stepgen); regenerate it for the wrapper.
                 router._wiring = None
         self.network.faults = self
         self._installed = True

@@ -26,12 +26,7 @@ from repro.noc.allocator import SwitchAllocator
 from repro.noc.buffer import InputPort, VCState, VirtualChannel
 from repro.noc.credit import CreditChannel, CreditCounter
 from repro.noc.link import Link
-from repro.noc.routing import (
-    LOCAL,
-    MinimalAdaptiveRouting,
-    RoutingAlgorithm,
-    XYRouting,
-)
+from repro.noc.routing import LOCAL, RoutingAlgorithm
 
 # Sentinel "packet id" used by repro.faults to pin a dead output VC's writer
 # lock: with ``writer[vc] = FAULT_PID`` and ``writer_left[vc] = 1`` the VC
@@ -134,13 +129,16 @@ class Router:
 
         # Prefer adaptive VCs, escape VC 0 last.
         self._vc_order = tuple(range(1, num_vcs)) + (0,)
-        # Wiring tables for step(); built lazily once links exist, and
+        self._adaptive_vcs = self._vc_order[:-1]
+        # The generated step (see step()); built on the first visit, and
         # dropped (set to None) whenever the wiring or routing changes.
+        # Whoever swaps ``routing`` must reset it; the setters below and
+        # ``ejection_gate`` do so themselves.
         self._wiring = None
 
         # Optional backpressure gate on the ejection (LOCAL) output; wired
         # by the network to the attached ejection interface's buffer state.
-        self.ejection_gate = None  # type: Optional[callable]
+        self._gate = None  # type: Optional[callable]
 
         # Optional per-hop observer: called once per head flit accepted
         # into this router (i.e. per route computation), after the ARI
@@ -182,16 +180,29 @@ class Router:
             CreditCounter(self.num_vcs, downstream_vc_capacity),
             credit_in,
         )
+        self._wiring = None
 
     def set_ejection(self, link: Link) -> None:
         self.output_ports[LOCAL] = OutputPort(LOCAL, link, self.num_vcs, None, None)
+        self._wiring = None
 
     def set_input(self, port: int, link: Link, credit_out: CreditChannel) -> None:
         self.input_links[port] = link
         self.credit_out[port] = credit_out
+        self._wiring = None
 
     def attach_ni(self, ni) -> None:
         self.ni = ni
+        self._wiring = None
+
+    @property
+    def ejection_gate(self):
+        return self._gate
+
+    @ejection_gate.setter
+    def ejection_gate(self, gate) -> None:
+        self._gate = gate
+        self._wiring = None
 
     def injection_port_ids(self) -> List[int]:
         return [4 + k for k in range(self.num_injection_ports)]
@@ -265,365 +276,27 @@ class Router:
         return pkt
 
     # -- the pipeline -----------------------------------------------------------
-    def _build_wiring(self):
-        """Precompute the wiring tables :meth:`step` iterates.
-
-        ``credited``: (in-flight deque, credit counter, writer locks,
-        output port) for output ports with a credit-return channel.
-        ``inputs``: (input port, link pipe) pairs, one per wired link; a
-        composite SplitNI bundle contributes each member pipe, in link
-        order.  ``polls``: every deque above, checked alone while the
-        router holds no flit.
-        ``vc_rule``: 0 = every VC legal (XY), 1 = escape-VC-0 rule
-        (minimal adaptive), 2 = ask ``routing.vc_allowed`` (anything
-        else, e.g. fault-detour wrappers).  The routing class is folded
-        in here, so whoever swaps ``routing`` must reset ``_wiring``.
-        """
-        credited = tuple(
-            (out.credit_in._in_flight, out.credits, out.writer, port)
-            for port, out in enumerate(self.output_ports)
-            if out is not None
-            and out.credit_in is not None
-            and out.credits is not None
-        )
-        inputs = tuple(
-            (self.input_ports[idx], lk._pipe)
-            for idx, link in enumerate(self.input_links)
-            if link is not None
-            for lk in getattr(link, "links", (link,))
-        )
-        polls = tuple(c[0] for c in credited) + tuple(i[1] for i in inputs)
-        rt = type(self.routing)
-        if rt is XYRouting:
-            vc_rule = 0
-        elif rt is MinimalAdaptiveRouting:
-            vc_rule = 1
-        else:
-            vc_rule = 2
-        alloc = self.allocator
-        wiring = (
-            credited,
-            inputs,
-            polls,
-            vc_rule,
-            alloc._input_arbiters,
-            alloc._output_arbiters,
-        )
-        self._wiring = wiring
-        return wiring
-
     def step(self, now: int) -> int:
         """Advance the router one cycle; returns flits switched.
 
         Credit delivery and flit ingestion, then route computation, VC
         allocation and bid collection in one rotated sweep, two-stage
-        separable switch allocation, and switch traversal.  Precomputed
-        wiring tables and inlined buffer/credit/link operations keep the
-        Python overhead down; conflict-free switch allocation is resolved
-        without arbiter scans (the round-robin pointers are updated
-        exactly as the arbiters would have).  A head whose last VC
-        allocation failed is not retried until one of its candidate
-        outputs has freed something (the ``_freed`` memo).
-        ``tests/noc/oracle.py`` keeps the stage-by-stage version as a
-        differential oracle.
+        separable switch allocation, and switch traversal.  The body is
+        generated for this router's shape by :mod:`repro.noc.stepgen` on
+        the first visit and cached in ``_wiring``; setting ``_wiring`` to
+        None (done by every wiring setter) regenerates it on the next
+        visit.  A head whose last VC allocation failed is not retried
+        until one of its candidate outputs has freed something (the
+        ``_freed`` memo).  ``tests/noc/oracle.py`` keeps the
+        stage-by-stage version as a differential oracle.
         """
-        wiring = self._wiring
-        if wiring is None:
-            wiring = self._build_wiring()
-        credited, inputs, polls, vc_rule, in_arbs, out_arbs = wiring
-        if self._occ == 0:
-            for q in polls:
-                if q and q[0][0] <= now:
-                    break
-            else:
-                return 0
-        routing_state = VCState.ROUTING
-        active_state = VCState.ACTIVE
-        freed = self._freed
+        step = self._wiring
+        if step is None:
+            # Imported here so that building a network compiles nothing.
+            from repro.noc import stepgen
 
-        # -- credit delivery ----------------------------------------------
-        for q, credits, writer, o in credited:
-            if q and q[0][0] <= now:
-                counts = credits.counts
-                cap = credits.capacity
-                while q and q[0][0] <= now:
-                    v = q.popleft()[1]
-                    if counts[v] >= cap:
-                        raise RuntimeError(f"credit overflow on vc {v}")
-                    counts[v] += 1
-                    credits.total += 1
-                    if writer[v] is None:
-                        freed[o] += 1
-
-        # -- ingest ---------------------------------------------------------
-        occ_add = 0
-        on_hop = self.on_hop
-        for port, pipe in inputs:
-            if not pipe or pipe[0][0] > now:
-                continue
-            vcs = port.vcs
-            is_inj = port.is_injection
-            cnt = 0
-            while pipe and pipe[0][0] <= now:
-                flit = pipe.popleft()[1]
-                vc = flit.out_vc
-                if vc is None:
-                    raise RuntimeError("arriving flit has no VC assignment")
-                if flit.is_head:
-                    pkt = flit.packet
-                    if not is_inj and pkt.priority > 0:
-                        pkt.priority -= 1
-                        self.priority_decays += 1
-                    if pkt.injected_at is None:
-                        pkt.injected_at = now
-                    if on_hop is not None:
-                        on_hop(self.router_id, pkt, now)
-                flit.out_port = None
-                flit.out_vc = None
-                # Inlined VirtualChannel.push (same transitions/raises).
-                vcq = vcs[vc]
-                fifo = vcq.fifo
-                if vcq.capacity - len(fifo) <= 0:
-                    raise RuntimeError(f"VC {vc} overflow")
-                flit.vc = vc
-                # Space was reserved upstream by the credit the sender
-                # consumed; the overflow raise above is an assertion,
-                # not flow control.
-                fifo.append(flit)  # proto: allow(proto-push-guard)
-                if len(fifo) == 1:
-                    vcq.wait_since = now
-                    if flit.is_head:
-                        if (
-                            vcq.state is not active_state
-                            or vcq.out_port is None
-                        ):
-                            vcq.state = routing_state
-                    else:
-                        if vcq.out_port is None:
-                            raise RuntimeError(
-                                "body flit at VC front without a route"
-                            )
-                        vcq.state = active_state
-                cnt += 1
-            port.occ += cnt
-            occ_add += cnt
-        if occ_add:
-            self._occ += occ_add
-        if self._occ == 0:
-            return 0
-
-        # -- route + VC allocation + bid collection, one rotated pass ------
-        # The stage-by-stage oracle makes two sweeps (rotation-ordered
-        # routing, then index-ordered bid collection).  One rotated sweep
-        # produces the same outcome: allocation order is preserved exactly,
-        # a VC allocated this cycle is ACTIVE by the time its bid is taken
-        # (the single-cycle router bids newly-routed VCs immediately), and
-        # the separable allocator resolves each input and each output
-        # independently, so the order bids are *listed* in cannot change
-        # any grant.
-        ports = self.input_ports
-        n_in = self.num_inputs
-        start = self._va_rr
-        nxt = start + 1
-        self._va_rr = nxt if nxt < n_in else 0
-        dest_coords = self._dest_coords
-        routing = self.routing
-        coords = self.coords
-        prio_on = self.priority_enabled
-        # Fault-aware VC legality reads fault state, which no _freed
-        # counter tracks, so rule 2 retries every head every cycle.
-        memo = vc_rule != 2
-        gate = self.ejection_gate
-        ejection_open = True if gate is None else None  # None = not asked yet
-        bid_ports: List[int] = []      # ports with bids, first-bid order
-        port_bids: List[Optional[list]] = [None] * n_in
-        injection_bids = False
-        i = start - n_in
-        while i < start:
-            port = ports[i]
-            i += 1
-            if port.occ == 0:
-                continue
-            blist = None
-            for vcobj in port.vcs:
-                st = vcobj.state
-                if st is routing_state:
-                    pkt = vcobj.fifo[0].packet
-                    cands = vcobj.candidates
-                    if cands is None:
-                        dc = dest_coords(pkt.dest)
-                        cands = vcobj.candidates = routing.candidates(
-                            coords, dc
-                        )
-                        vcobj.escape = routing.escape_port(coords, dc)
-                    if memo:
-                        # XY and minimal adaptive give at most two.
-                        key = freed[cands[0]]
-                        if len(cands) > 1:
-                            key += freed[cands[1]]
-                        if key == vcobj.blocked:
-                            continue
-                    if not self._try_allocate(vcobj, pkt, vc_rule):
-                        if memo:
-                            vcobj.blocked = key
-                        continue
-                    # Allocated this cycle => ACTIVE with a head flit: bid.
-                elif st is not active_state or not vcobj.fifo:
-                    continue
-                out_port = vcobj.out_port
-                if out_port is None:
-                    continue
-                if out_port == LOCAL:
-                    if ejection_open is None:
-                        ejection_open = gate()
-                    if not ejection_open:
-                        continue
-                prio = vcobj.fifo[0].packet.priority if prio_on else 0
-                if blist is None:
-                    blist = []
-                    port_bids[port.port_id] = blist
-                    bid_ports.append(port.port_id)
-                    if port.is_injection:
-                        injection_bids = True
-                blist.append((vcobj.index, out_port, prio))
-        if not bid_ports:
-            return 0
-
-        # Starvation demotion: only observable when an injection port
-        # actually bids, so the waiting-time scan is skipped on pure
-        # through-routers.
-        if injection_bids and prio_on and self.starvation_threshold > 0:
-            thr = self.starvation_threshold
-            demote = False
-            for port in ports:
-                if port.is_injection:
-                    continue
-                for vcobj in port.vcs:
-                    ws = vcobj.wait_since
-                    if ws is not None and vcobj.fifo and now - ws > thr:
-                        demote = True
-                        break
-                if demote:
-                    break
-            if demote:
-                for p in bid_ports:
-                    if ports[p].is_injection:
-                        blist = port_bids[p]
-                        self.starvation_demotions += len(blist)
-                        port_bids[p] = [(v, o, 0) for v, o, _pr in blist]
-
-        # Fast path: when every bidding input has exactly one bid and the
-        # outputs are distinct, every bid wins and each arbiter pointer
-        # just moves past its winner.
-        fast = []
-        omask = 0
-        for p in bid_ports:
-            blist = port_bids[p]
-            if len(blist) != 1:
-                fast = None
-                break
-            v, o, _pr = blist[0]
-            ob = 1 << o
-            if omask & ob:
-                fast = None
-                break
-            omask |= ob
-            fast.append((p, v, o))
-        if fast is None:
-            grants = self._allocate(bid_ports, port_bids)
-        else:
-            nvc = self.num_vcs
-            grants = []
-            for p, v, o in fast:
-                nx = v + 1
-                in_arbs[p]._next = nx if nx < nvc else 0
-                nx = p + 1
-                out_arbs[o]._next = nx if nx < n_in else 0
-                grants.append((p, v))
-
-        # -- switch traversal -----------------------------------------------
-        moved = 0
-        injected = 0
-        idle_state = VCState.IDLE
-        ni = self.ni
-        credit_out = self.credit_out
-        outs = self.output_ports
-        for in_p, v in grants:
-            port = ports[in_p]
-            vcobj = port.vcs[v]
-            out_port = vcobj.out_port
-            out_vc = vcobj.out_vc
-            out = outs[out_port]
-            fifo = vcobj.fifo
-            flit = fifo[0] if fifo else None
-            if flit is None or out is None or out_vc is None:
-                raise RuntimeError("switch grant for an empty VC")
-            flit.out_port = out_port
-            flit.out_vc = out_vc
-            # Inlined VirtualChannel.pop (same transitions, raises).
-            fifo.popleft()
-            if flit.is_tail:
-                vcobj.out_port = None
-                vcobj.out_vc = None
-                vcobj.candidates = None
-                vcobj.escape = None
-                vcobj.blocked = None
-                vcobj.state = idle_state
-            if fifo:
-                front = fifo[0]
-                vcobj.wait_since = now
-                if front.is_head:
-                    if (
-                        vcobj.state is not active_state
-                        or vcobj.out_port is None
-                    ):
-                        vcobj.state = routing_state
-                else:
-                    if vcobj.out_port is None:
-                        raise RuntimeError(
-                            "body flit at VC front without a route"
-                        )
-                    vcobj.state = active_state
-            else:
-                vcobj.wait_since = None
-            port.occ -= 1
-            self._occ -= 1
-            credits = out.credits
-            if credits is not None:
-                counts = credits.counts
-                if counts[out_vc] <= 0:
-                    raise RuntimeError(f"credit underflow on vc {out_vc}")
-                counts[out_vc] -= 1
-                credits.total -= 1
-            # Writer-lock bookkeeping + Link.send, inlined.
-            writer = out.writer
-            if writer[out_vc] != flit.packet.pid:
-                raise RuntimeError(
-                    "flit sent into a VC claimed by another packet"
-                )
-            wl = out.writer_left
-            wl[out_vc] -= 1
-            if wl[out_vc] == 0:
-                writer[out_vc] = None
-                freed[out_port] += 1
-            lk = out.link
-            lk._pipe.append((now + lk.latency, flit))
-            lk.flits_carried += 1
-            lk.busy_cycles += 1
-            if port.is_injection:
-                if ni is not None:
-                    ni.on_credit(port.port_id, v)
-                self.flits_injected += 1
-                injected += 1
-            else:
-                ch = credit_out[in_p]
-                if ch is not None:
-                    ch._in_flight.append((now + ch.latency, v))
-            moved += 1
-        if injected > 1:
-            self.speedup_extra_flits += injected - 1
-        self.flits_switched += moved
-        return moved
+            step = self._wiring = stepgen.specialize(self)
+        return step(now)
 
     # The frozen benchmark (benchmarks/e2e) looks this name up on every router.
     step_fast = step
@@ -656,19 +329,21 @@ class Router:
             budget = speedups.get(p, 1)
             while True:
                 # -- stage 1: this input's next pick ----------------------
-                # In VC order, an equal-priority bid displaces the best
-                # only to move it from before the pointer to at/after it.
-                nxt = arb._next
-                win = None
-                for t in blist:
-                    pr = t[2]
-                    if win is None or pr > win_pr:
-                        win, win_pr, wrapped = t, pr, t[0] < nxt
-                    elif wrapped and pr == win_pr and t[0] >= nxt:
-                        win, wrapped = t, False
-                v, o, pr = win
-                nx = v + 1
-                arb._next = nx if nx < nvc else 0
+                if len(blist) == 1:
+                    v, o, pr = blist[0]
+                else:
+                    # In VC order, an equal-priority bid displaces the best
+                    # only to move it from before the pointer to at/after it.
+                    nxt = arb._next
+                    win = None
+                    for t in blist:
+                        pr = t[2]
+                        if win is None or pr > win_pr:
+                            win, win_pr, wrapped = t, pr, t[0] < nxt
+                        elif wrapped and pr == win_pr and t[0] >= nxt:
+                            win, wrapped = t, False
+                    v, o, pr = win
+                arb._next = (v + 1) % nvc
                 # -- stage 2: running best at output o --------------------
                 cur = best[o]
                 if cur is None:
@@ -691,21 +366,21 @@ class Router:
         grants = []
         for o in out_order:
             p, v, _pr = best[o]
-            nx = p + 1
-            out_arbs[o]._next = nx if nx < n_in else 0
+            out_arbs[o]._next = (p + 1) % n_in
             grants.append((p, v))
         return grants
 
     def _try_allocate(self, vc: VirtualChannel, pkt, vc_rule: int) -> bool:
         """Route-compute result -> claim an output VC (WPF); True on success.
 
-        ``vc_rule`` (from the wiring tables) inlines the routing's VC
-        legality check for XY and minimal adaptive routing.
+        ``vc_rule`` (the generated step's :attr:`stepgen.Shape.vc_rule`)
+        inlines the routing's VC legality check for XY and minimal
+        adaptive routing.
         """
         candidates = vc.candidates
         outs = self.output_ports
         routing = self.routing
-        if routing.adaptive and len(candidates) > 1:
+        if len(candidates) > 1 and routing.adaptive:
             # Freest downstream first (a stable sort by free credits).
             if len(candidates) == 2:
                 a, b = candidates
@@ -720,7 +395,9 @@ class Router:
                     key=lambda p: -(outs[p].free_credit_total()
                                     if outs[p] is not None else -1),
                 )
-        escape = vc.escape if vc.escape is not None else LOCAL
+        escape = vc.escape
+        if escape is None:
+            escape = LOCAL
         size = pkt.size
         for out_port in candidates:
             out = outs[out_port]
@@ -743,9 +420,10 @@ class Router:
                     # packet cannot fit anywhere on this output.
                     continue
                 counts = credits.counts
-            dvcs = self._vc_order
             if vc_rule == 1 and out_port != escape:
-                dvcs = dvcs[:-1]  # escape VC 0 (last) is for the XY hop only
+                dvcs = self._adaptive_vcs  # escape VC 0 is for the XY hop only
+            else:
+                dvcs = self._vc_order
             for dvc in dvcs:
                 if writer[dvc] is not None:
                     continue

@@ -198,6 +198,34 @@ class FaultAwareRouting(RoutingAlgorithm):
         return f"FaultAwareRouting({self.base!r})"
 
 
+class RouteTable(dict):
+    """One router's destination -> ``(candidates, escape)`` map.
+
+    For a routing whose answer depends only on the two coordinates (XY
+    and minimal adaptive, not the fault-aware wrapper), each destination
+    is computed once, on first lookup, and the candidates are kept as a
+    tuple shared by every packet to that destination.
+    """
+
+    __slots__ = ("routing", "here", "dest_coords")
+
+    def __init__(self, routing: RoutingAlgorithm, here, dest_coords) -> None:
+        super().__init__()
+        self.routing = routing
+        self.here = here
+        self.dest_coords = dest_coords
+
+    def __missing__(self, dest: int):
+        dc = self.dest_coords(dest)
+        routing = self.routing
+        entry = (
+            tuple(routing.candidates(self.here, dc)),
+            routing.escape_port(self.here, dc),
+        )
+        self[dest] = entry
+        return entry
+
+
 #: Canonical algorithm names accepted by :func:`make_routing` (aliases for
 #: each are listed in the factory; introspection code iterates this).
 ROUTING_NAMES = ("xy", "adaptive")

@@ -129,13 +129,40 @@ class _Scope:
         return name in self.set_names
 
 
+def _module_aliases(tree: ast.AST) -> Dict[str, str]:
+    """Local names bound to modules (or datetime classes) by an import.
+
+    ``import time as _t`` maps ``_t`` to ``time``, ``import numpy.random
+    as npr`` maps ``npr`` to ``numpy.random`` and ``from datetime import
+    datetime as dt`` maps ``dt`` to ``datetime``, so a call through the
+    alias is checked as if it were spelled out.  Imports anywhere in the
+    module count, as the rules are per module.
+    """
+    aliases: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname:
+                    aliases[a.asname] = a.name
+        elif isinstance(node, ast.ImportFrom) and node.module == "datetime":
+            for a in node.names:
+                if a.asname:
+                    aliases[a.asname] = a.name
+    return aliases
+
+
 class _DetLinter(ast.NodeVisitor):
     def __init__(
-        self, path: str, lines: Sequence[str], report: CheckReport
+        self,
+        path: str,
+        lines: Sequence[str],
+        report: CheckReport,
+        aliases: Optional[Dict[str, str]] = None,
     ) -> None:
         self.path = path
         self.lines = lines
         self.report = report
+        self.aliases = aliases or {}
         self.scopes: List[_Scope] = [_Scope()]
         self._stmt_lines: List[int] = []
 
@@ -196,6 +223,9 @@ class _DetLinter(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         chain = _attr_chain(node.func)
         if chain is not None:
+            head, dot, rest = chain.partition(".")
+            if dot and head in self.aliases:
+                chain = f"{self.aliases[head]}.{rest}"
             self._check_random(chain, node)
             self._check_wallclock(chain, node)
         self.generic_visit(node)
@@ -444,7 +474,9 @@ def lint_source(
             "fix the syntax error first",
         )
         return report
-    _DetLinter(path, text.splitlines(), report).visit(tree)
+    _DetLinter(
+        path, text.splitlines(), report, _module_aliases(tree)
+    ).visit(tree)
     if graph is not None and report.diagnostics:
         _augment_chain_hints(report, graph, path)
     return report

@@ -268,9 +268,9 @@ class TestFaultedNetworks:
         )
 
     def test_mid_run_install_rebuilds_router_wiring(self):
-        # Router.step caches the routing class in its wiring tables on
-        # the first cycle; installing detour routing later must drop
-        # that cache, or XY routers keep skipping the detour VC rule.
+        # Router.step generates code for the routing class on the first
+        # cycle; installing detour routing later must drop that code, or
+        # XY routers keep skipping the detour VC rule.
         kwargs = dict(traffic="uniform", routing="xy", rate=0.15,
                       cycles=600, plan="link:r5.E@200", install_at=200)
         assert _run_network(False, **kwargs) == _run_network(True, **kwargs)

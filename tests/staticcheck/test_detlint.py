@@ -48,6 +48,30 @@ class TestDetRandom:
         report = lint("from random import Random\nrng = Random(1)\n")
         assert len(report) == 0
 
+    def test_aliased_module_call_flagged(self):
+        report = lint("""
+            import random as _r
+            def pick(items):
+                return _r.random() < 0.5
+        """)
+        assert rules_of(report) == {"det-random"}
+        assert "mod.py:4" in report.diagnostics[0].location
+
+    def test_aliased_numpy_submodule_flagged(self):
+        report = lint("""
+            import numpy.random as npr
+            x = npr.randint(0, 10)
+        """)
+        assert rules_of(report) == {"det-random"}
+
+    def test_aliased_seeded_instance_allowed(self):
+        report = lint("""
+            import random as _r
+            rng = _r.Random(3)
+            x = rng.random()
+        """)
+        assert len(report) == 0
+
 
 class TestDetWallclock:
     def test_time_calls_flagged(self):
@@ -71,6 +95,37 @@ class TestDetWallclock:
 
     def test_sleep_not_flagged(self):
         report = lint("import time\ntime.sleep(1)\n")
+        assert len(report) == 0
+
+    def test_aliased_module_call_flagged(self):
+        report = lint("""
+            import time as _t
+            def stamp():
+                return _t.time()
+        """)
+        assert rules_of(report) == {"det-wallclock"}
+        assert "mod.py:4" in report.diagnostics[0].location
+
+    def test_plain_and_aliased_both_flagged(self):
+        report = lint("""
+            import time
+            import time as _t
+            a = time.time()
+            b = _t.perf_counter()
+        """)
+        assert [d.location for d in report.diagnostics] == [
+            "mod.py:4", "mod.py:5",
+        ]
+
+    def test_aliased_datetime_class_flagged(self):
+        report = lint("""
+            from datetime import datetime as dt
+            t = dt.now()
+        """)
+        assert rules_of(report) == {"det-wallclock"}
+
+    def test_aliased_sleep_not_flagged(self):
+        report = lint("import time as _t\n_t.sleep(1)\n")
         assert len(report) == 0
 
 
