@@ -649,8 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="pre-simulation static checks: escape-network deadlock "
              "freedom (CDG), Eq. 1/2 sizing, queue/credit sanity, plus "
-             "AST code lints (determinism, unit inference, credit "
-             "conservation, pool-worker captures) over simulator sources",
+             "AST code lints (determinism, unit inference) over "
+             "simulator sources",
     )
     chk.add_argument(
         "--scheme", action="append", default=[], metavar="NAME[,NAME]",
@@ -675,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="analyze faulted epochs without detour routing")
     chk.add_argument(
         "--code", action="append", default=[], metavar="PATH",
-        help="run the code lints (det/unit/proto/pool/flow) over these "
+        help="run the code lints (det/unit) over these "
              "files/dirs; repeatable",
     )
     chk.add_argument(

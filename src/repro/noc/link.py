@@ -10,7 +10,7 @@ can be reproduced.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Tuple
+from typing import Deque, List, Tuple
 
 from repro.noc.flit import Flit
 
@@ -60,6 +60,10 @@ class Link:
     @property
     def in_flight(self) -> int:
         return len(self._pipe)
+
+    def flits_in_flight(self) -> List[Flit]:
+        """The flits on the wire, oldest first (for audits)."""
+        return [flit for _, flit in self._pipe]
 
     def utilization(self, elapsed_cycles: int) -> float:
         """Average flits per cycle carried over ``elapsed_cycles``."""

@@ -200,7 +200,7 @@ class _SingleQueueNI(InjectionInterface):
         # Capacity was reserved by the offer()/can_accept gate before
         # this is reached; the push itself is deliberately unguarded.
         for flit in packet.make_flits():
-            self.queue.append(flit)  # proto: allow(proto-push-guard)
+            self.queue.append(flit)
         self._queued_packets += 1
         self.stats.packets_accepted += 1
 

@@ -13,7 +13,10 @@ Checked invariants:
   its VC FIFO lengths;
 * **credit conservation** — for every mesh link, the upstream credit view
   plus downstream buffered flits plus in-flight flits/credits equals the
-  VC capacity;
+  VC capacity; for every NI injection ``(port, vc)``, the NI's credit
+  count plus the router's buffered flits in that VC plus the flits in
+  flight on the NI's injection links equals the VC capacity exactly
+  (injection credits return to the NI in the same cycle, with no wire);
 * **writer locks** — an output VC's remaining-flit count is consistent
   (never negative, zero iff unlocked);
 * **WPF safety** — no downstream VC ever interleaves flits of two packets
@@ -24,6 +27,7 @@ Checked invariants:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List, Optional
 
 from repro.noc.network import Network
@@ -103,6 +107,7 @@ class InvariantChecker:
 
     def check_credit_conservation(self) -> None:
         topo = self.network.topology
+        cap = self.network.config.vc_capacity
         for src, direction, dst in topo.links():
             up = self.network.routers[src].output_ports[direction]
             if up is None or up.credits is None:
@@ -117,7 +122,6 @@ class InvariantChecker:
                 # Flits in flight on the link may belong to any VC; account
                 # them loosely by checking the aggregate bound per VC pair.
                 total = up.credits.available(vc) + buffered
-                cap = self.network.config.vc_capacity
                 link_loc = f"link {self._loc(src)}->{self._loc(dst)}"
                 if total > cap + in_flight_credits:
                     self._fail(
@@ -131,6 +135,22 @@ class InvariantChecker:
                         f"{link_loc} vc{vc}: credit leak "
                         f"({up.credits.available(vc)} + {buffered} + "
                         f"{in_flight_flits} + {in_flight_credits} < {cap})"
+                    )
+        for ni in self.network.nis:
+            inputs = self.network.routers[ni.node_id].input_ports
+            in_flight = Counter(
+                (flit.out_port, flit.out_vc)
+                for link in ni.links
+                for flit in link.flits_in_flight()
+            )
+            for (port, vc), credits in ni.credits.items():
+                buffered = inputs[port].vcs[vc].occupancy
+                flying = in_flight[(port, vc)]
+                if credits + buffered + flying != cap:
+                    self._fail(
+                        f"NI {self._loc(ni.node_id)} port {port} vc{vc}: "
+                        f"injection credits {credits} + buffered {buffered} "
+                        f"+ in-flight {flying} != capacity {cap}"
                     )
 
     def check_writer_locks(self) -> None:

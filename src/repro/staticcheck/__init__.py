@@ -5,7 +5,7 @@ otherwise only observes at runtime: escape-network deadlock freedom
 (channel-dependency-graph acyclicity + reachability, per fault epoch),
 the paper's Eq. 1 / Eq. 2 injection-speedup sizing, queue/credit/VC
 partition sanity — plus AST/dataflow code lints over the simulator
-sources (determinism, units, credit protocol, pool captures).  See
+sources (determinism, units).  See
 ``docs/staticcheck.md`` for the rule catalog and the ``repro check``
 CLI subcommand for the command-line front end.
 

@@ -1,33 +1,20 @@
 """Module-aware call graph over a set of Python sources.
 
-The interprocedural lints in :mod:`repro.staticcheck` (determinism
-reach chains, protocol paths, pool captures) all need the same substrate:
-*who calls whom*, resolved across modules, with class inheritance
-flattened.  This module builds it once per check run:
+The determinism lint's ``reached via a -> b`` hints need *who calls
+whom*, resolved across modules: :func:`build_call_graph` builds it once
+per check run, and a hint walks it upward with
+:meth:`CallGraph.function_at` (the function enclosing a finding) and
+:meth:`CallGraph.callers_of`.
 
-:class:`FunctionNode`
-    One function, method, property getter, or lambda, addressed by a
-    qualified name (``module.func`` / ``module.Class.method``).
-
-:class:`CallSite`
-    One resolved call: the caller, the (possibly several) callee
-    qnames, the receiver chain it was resolved through, and a ``kind``
-    tag so consumers can choose how speculative an edge they follow
-    (``function``/``self``/``super``/``init``/``instance``/``hint``/
-    ``heuristic``/``property``).
-
-:func:`build_call_graph`
-    Constructs the graph from ``(path, text)`` pairs.  Resolution
-    handles in-package inheritance (``self.m`` dispatches to the
-    flattened method table plus subclass overrides), ``super()``,
-    import aliases, class instantiation (``Foo()`` edges to
-    ``Foo.__init__`` and marks the binding an instance), bound methods
-    and lambdas stored in locals, and properties used as values.
-    Attribute receivers that cannot be typed locally fall back to
-    *receiver hints* — a mapping from the terminal segment of the
-    receiver chain (``routers[]``, ``telemetry``) to candidate class
-    names — and, failing that, to name-based may-resolution over every
-    class defining the method.
+Resolution handles in-package inheritance (``self.m`` dispatches to the
+inherited method plus subclass overrides), ``super()``, import aliases,
+class instantiation (``Foo()`` edges to ``Foo.__init__`` and marks the
+binding an instance), bound methods stored in locals, and properties
+used as values.  Attribute receivers that cannot be typed locally fall
+back to *receiver hints* — a mapping from the terminal segment of the
+receiver chain (``routers[]``, ``telemetry``) to candidate class names —
+and, failing that, to name-based may-resolution over every class
+defining the method.
 
 The graph is a *may*-call over-approximation: an edge means the call
 could reach that target, not that it must.
@@ -36,23 +23,12 @@ could reach that target, not that it must.
 from __future__ import annotations
 
 import ast
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "CallGraph",
-    "CallSite",
-    "ClassInfo",
-    "RECEIVER_HINTS",
     "FunctionNode",
-    "ModuleInfo",
+    "RECEIVER_HINTS",
     "build_call_graph",
     "chain_of",
     "module_name_for",
@@ -84,7 +60,7 @@ RECEIVER_HINTS: Dict[str, Tuple[str, ...]] = {
 
 #: Method names too generic to resolve by name alone — they are almost
 #: always container/builtin operations, and a name-based fallback edge
-#: to an unrelated class method of the same name would poison closures.
+#: to an unrelated class method of the same name would poison chains.
 _GENERIC_METHODS = frozenset(
     {
         "add", "append", "appendleft", "clear", "copy", "count", "discard",
@@ -100,6 +76,8 @@ _GENERIC_METHODS = frozenset(
 _PASSTHROUGH_CALLS = frozenset(
     {"enumerate", "sorted", "list", "tuple", "reversed", "iter", "set"}
 )
+
+_FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def module_name_for(path: str) -> str:
@@ -121,28 +99,24 @@ def module_name_for(path: str) -> str:
     return ".".join(parts) or "module"
 
 
-class ModuleInfo:
-    """One parsed source module."""
-
-    __slots__ = ("name", "path", "text", "lines", "tree", "imports")
-
-    def __init__(self, name: str, path: str, text: str, tree: ast.Module):
-        self.name = name
-        self.path = path
-        self.text = text
-        self.lines = text.splitlines()
-        self.tree = tree
-        #: local name -> dotted target (module or module.attr)
-        self.imports: Dict[str, str] = {}
+def _decorator_names(node: ast.AST) -> List[str]:
+    names = []
+    for dec in getattr(node, "decorator_list", []):
+        if isinstance(dec, ast.Call):
+            dec = dec.func
+        if isinstance(dec, ast.Name):
+            names.append(dec.id)
+        elif isinstance(dec, ast.Attribute):
+            names.append(dec.attr)
+    return names
 
 
-class ClassInfo:
+class _ClassInfo:
     """One class definition: bases (resolved where possible) and methods."""
 
-    __slots__ = ("qname", "module", "name", "node", "bases", "methods")
+    __slots__ = ("module", "name", "node", "bases", "methods")
 
-    def __init__(self, qname: str, module: str, node: ast.ClassDef):
-        self.qname = qname
+    def __init__(self, module: str, node: ast.ClassDef):
         self.module = module
         self.name = node.name
         self.node = node
@@ -153,78 +127,22 @@ class ClassInfo:
 
 
 class FunctionNode:
-    """One function/method/lambda in the graph."""
+    """One function or method, addressed by ``module.[Class.]name``."""
 
-    __slots__ = (
-        "qname", "module", "cls", "name", "node", "path",
-        "lineno", "end_lineno", "is_property", "decorators",
-    )
+    __slots__ = ("qname", "module", "cls", "node", "lineno", "end_lineno",
+                 "is_property")
 
     def __init__(
-        self,
-        qname: str,
-        module: str,
-        cls: Optional[str],
-        node: ast.AST,
-        path: str,
+        self, qname: str, module: str, cls: Optional[str], node: ast.AST
     ) -> None:
         self.qname = qname
         self.module = module
         self.cls = cls  # owning class qname, or None
-        self.name = qname.rsplit(".", 1)[-1]
         self.node = node
-        self.path = path
         self.lineno = getattr(node, "lineno", 0)
         self.end_lineno = getattr(node, "end_lineno", self.lineno)
-        decorators = []
-        for dec in getattr(node, "decorator_list", []):
-            if isinstance(dec, ast.Name):
-                decorators.append(dec.id)
-            elif isinstance(dec, ast.Attribute):
-                decorators.append(dec.attr)
-            elif isinstance(dec, ast.Call):
-                fn = dec.func
-                if isinstance(fn, ast.Name):
-                    decorators.append(fn.id)
-                elif isinstance(fn, ast.Attribute):
-                    decorators.append(fn.attr)
-        self.decorators = decorators
+        decorators = _decorator_names(node)
         self.is_property = "property" in decorators or "setter" in decorators
-
-    @property
-    def cls_bare(self) -> Optional[str]:
-        return self.cls.rsplit(".", 1)[-1] if self.cls else None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FunctionNode({self.qname})"
-
-
-class CallSite:
-    """One call inside a function, with its resolved targets."""
-
-    __slots__ = ("caller", "attr", "receiver", "lineno", "targets", "kind")
-
-    def __init__(
-        self,
-        caller: str,
-        attr: str,
-        receiver: Optional[str],
-        lineno: int,
-        targets: Tuple[str, ...],
-        kind: str,
-    ) -> None:
-        self.caller = caller
-        self.attr = attr          # called name / method name
-        self.receiver = receiver  # normalized receiver chain, or None
-        self.lineno = lineno
-        self.targets = targets    # resolved callee qnames (may-call)
-        self.kind = kind
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CallSite({self.caller} -> {self.attr} "
-            f"[{self.kind}] @{self.lineno})"
-        )
 
 
 def chain_of(
@@ -273,19 +191,18 @@ class CallGraph:
     """The resolved call graph over a set of modules."""
 
     def __init__(self) -> None:
-        self.modules: Dict[str, ModuleInfo] = {}
         self.module_by_path: Dict[str, str] = {}
-        self.classes: Dict[str, ClassInfo] = {}
+        #: module -> local name -> dotted import target
+        self.imports: Dict[str, Dict[str, str]] = {}
+        self.classes: Dict[str, _ClassInfo] = {}
         self.functions: Dict[str, FunctionNode] = {}
-        self.calls: Dict[str, List[CallSite]] = {}
-        #: paths that failed to parse: path -> SyntaxError
-        self.errors: Dict[str, SyntaxError] = {}
+        #: caller qname -> callee qnames (may-call)
+        self.calls: Dict[str, List[str]] = {}
         self._classes_by_name: Dict[str, List[str]] = {}
         self._method_index: Dict[str, List[str]] = {}
         self._subclasses: Dict[str, List[str]] = {}
-        self._callers: Optional[Dict[str, List[Tuple[str, CallSite]]]] = None
+        self._callers: Optional[Dict[str, Set[str]]] = None
 
-    # -- indexing ------------------------------------------------------------
     def _index(self) -> None:
         self._classes_by_name = {}
         self._method_index = {}
@@ -294,80 +211,57 @@ class CallGraph:
             self._classes_by_name.setdefault(cls.name, []).append(qname)
             for method, fn_qname in cls.methods.items():
                 self._method_index.setdefault(method, []).append(fn_qname)
-        for qname, cls in self.classes.items():
             for base in cls.bases:
                 if base in self.classes:
                     self._subclasses.setdefault(base, []).append(qname)
 
-    def classes_named(self, bare_name: str) -> List[str]:
-        """Class qnames whose bare name matches."""
-        return list(self._classes_by_name.get(bare_name, []))
-
-    # -- hierarchy -----------------------------------------------------------
-    def subclasses(self, class_qname: str) -> List[str]:
-        """Direct subclass qnames."""
-        return list(self._subclasses.get(class_qname, []))
-
-    def all_subclasses(self, class_qname: str) -> List[str]:
-        """Transitive subclass qnames, preorder."""
+    def _all_subclasses(self, class_qname: str) -> List[str]:
+        """Transitive subclass qnames, breadth first."""
         out: List[str] = []
-        stack = list(self._subclasses.get(class_qname, []))
-        seen: Set[str] = set()
-        while stack:
-            cur = stack.pop(0)
-            if cur in seen:
-                continue
-            seen.add(cur)
-            out.append(cur)
-            stack.extend(self._subclasses.get(cur, []))
+        queue = list(self._subclasses.get(class_qname, []))
+        while queue:
+            cur = queue.pop(0)
+            if cur not in out:
+                out.append(cur)
+                queue.extend(self._subclasses.get(cur, []))
         return out
 
-    def flattened_methods(self, class_qname: str) -> Dict[str, FunctionNode]:
-        """Merged method table with in-package bases, overrides winning."""
-        methods: Dict[str, FunctionNode] = {}
+    def _inherited(
+        self, class_qname: str, method: str, seen: Optional[Set[str]] = None
+    ) -> Optional[FunctionNode]:
+        """``method`` as ``class_qname`` sees it: its own, else a base's."""
+        seen = set() if seen is None else seen
+        if class_qname in seen or class_qname not in self.classes:
+            return None
+        seen.add(class_qname)
+        cls = self.classes[class_qname]
+        own = cls.methods.get(method)
+        if own is not None:
+            return self.functions[own]
+        for base in cls.bases:
+            found = self._inherited(base, method, seen)
+            if found is not None:
+                return found
+        return None
 
-        def absorb(qname: str, seen: Set[str]) -> None:
-            if qname in seen:
-                return
-            seen.add(qname)
-            cls = self.classes.get(qname)
-            if cls is None:
-                return
-            for base in cls.bases:
-                absorb(base, seen)
-            for name, fn_qname in cls.methods.items():
-                node = self.functions.get(fn_qname)
-                if node is not None:
-                    methods[name] = node
-
-        absorb(class_qname, set())
-        return methods
-
-    # -- edges ---------------------------------------------------------------
-    def callees(self, qname: str) -> List[CallSite]:
-        return list(self.calls.get(qname, []))
-
-    def callers_of(self, qname: str) -> List[Tuple[str, CallSite]]:
+    def callers_of(self, qname: str) -> List[str]:
+        """Qnames of every function with a call edge to ``qname``, sorted."""
         if self._callers is None:
-            callers: Dict[str, List[Tuple[str, CallSite]]] = {}
-            for caller, sites in self.calls.items():
-                for site in sites:
-                    for target in site.targets:
-                        callers.setdefault(target, []).append((caller, site))
+            callers: Dict[str, Set[str]] = {}
+            for caller, targets in self.calls.items():
+                for target in targets:
+                    callers.setdefault(target, set()).add(caller)
             self._callers = callers
-        return list(self._callers.get(qname, []))
+        return sorted(self._callers.get(qname, ()))
 
-    # -- lookups -------------------------------------------------------------
     def resolve_name(self, module: str, name: str) -> Optional[str]:
         """Resolve a bare name in ``module`` to a function qname."""
         qname = f"{module}.{name}"
         if qname in self.functions:
             return qname
-        info = self.modules.get(module)
-        if info is not None:
-            dotted = info.imports.get(name)
-            if dotted is not None and dotted in self.functions:
-                return dotted
+        dotted = self.imports.get(module, {}).get(name)
+        if dotted is not None and dotted in self.functions:
+            return dotted
         return None
 
     def resolve_class(self, module: str, name: str) -> Optional[str]:
@@ -375,30 +269,19 @@ class CallGraph:
         qname = f"{module}.{name}"
         if qname in self.classes:
             return qname
-        info = self.modules.get(module)
-        if info is not None:
-            head = name.split(".", 1)[0]
-            dotted = info.imports.get(head)
-            if dotted is not None:
-                candidate = (
-                    dotted
-                    if "." not in name
-                    else dotted + "." + name.split(".", 1)[1]
-                )
-                if candidate in self.classes:
-                    return candidate
+        head, _, rest = name.partition(".")
+        dotted = self.imports.get(module, {}).get(head)
+        if dotted is not None:
+            candidate = f"{dotted}.{rest}" if rest else dotted
+            if candidate in self.classes:
+                return candidate
         # Unique bare-name match across the package.
-        bare = name.rsplit(".", 1)[-1]
-        matches = self._classes_by_name.get(bare, [])
-        if len(matches) == 1:
-            return matches[0]
-        return None
+        matches = self._classes_by_name.get(name.rsplit(".", 1)[-1], [])
+        return matches[0] if len(matches) == 1 else None
 
     def function_at(self, path: str, lineno: int) -> Optional[FunctionNode]:
         """The innermost function enclosing ``path:lineno``."""
         module = self.module_by_path.get(path)
-        if module is None:
-            return None
         best: Optional[FunctionNode] = None
         for node in self.functions.values():
             if node.module != module:
@@ -409,203 +292,145 @@ class CallGraph:
                 best = node
         return best
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CallGraph(modules={len(self.modules)}, "
-            f"classes={len(self.classes)}, "
-            f"functions={len(self.functions)})"
-        )
-
 
 # -- construction -------------------------------------------------------------
 
-class _Builder:
-    def __init__(
-        self,
-        receiver_hints: Optional[Dict[str, Sequence[str]]] = None,
-    ) -> None:
-        self.graph = CallGraph()
-        self.hints = dict(receiver_hints or {})
-
-    # pass 1: index modules, classes, functions
-    def add_module(self, path: str, text: str) -> None:
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError as exc:
-            self.graph.errors[path] = exc
-            return
-        name = module_name_for(path)
-        # Uniquify collisions (two fixture files both named "module").
-        base, n = name, 2
-        while name in self.graph.modules:
-            name = f"{base}_{n}"
-            n += 1
-        info = ModuleInfo(name, path, text, tree)
-        self._collect_imports(info)
-        self.graph.modules[name] = info
-        self.graph.module_by_path[path] = name
-        self._collect_defs(info)
-
-    def _collect_imports(self, info: ModuleInfo) -> None:
-        for node in ast.walk(info.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".", 1)[0]
-                    target = alias.name if alias.asname else alias.name
-                    info.imports[local] = target
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    parts = info.name.split(".")
-                    parts = parts[: max(len(parts) - node.level, 0)]
-                    base = ".".join(parts + ([node.module] if node.module
-                                             else []))
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    info.imports[local] = (
+def _module_imports(name: str, tree: ast.Module) -> Dict[str, str]:
+    """Local name -> dotted target for every import in the module."""
+    imports: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imports[alias.asname or alias.name.split(".", 1)[0]] = (
+                    alias.name
+                )
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = name.split(".")
+                parts = parts[: max(len(parts) - node.level, 0)]
+                base = ".".join(parts + ([node.module] if node.module
+                                         else []))
+            for alias in node.names:
+                if alias.name != "*":
+                    imports[alias.asname or alias.name] = (
                         f"{base}.{alias.name}" if base else alias.name
                     )
+    return imports
 
-    def _collect_defs(self, info: ModuleInfo) -> None:
-        graph = self.graph
 
-        def register_fn(
-            node: ast.AST, scope: str, cls: Optional[str]
-        ) -> FunctionNode:
-            name = getattr(node, "name", None)
-            if name is None:  # lambda
-                name = f"<lambda:{getattr(node, 'lineno', 0)}>"
-            qname = f"{scope}.{name}"
-            fn = FunctionNode(qname, info.name, cls, node, info.path)
-            graph.functions[qname] = fn
-            return fn
+def _collect_defs(graph: CallGraph, module: str, tree: ast.Module) -> None:
+    def walk_scope(
+        body: List[ast.stmt], scope: str, cls: Optional[str]
+    ) -> None:
+        for stmt in body:
+            if isinstance(stmt, _FUNCTION_DEFS):
+                qname = f"{scope}.{stmt.name}"
+                graph.functions[qname] = FunctionNode(qname, module, cls, stmt)
+                if cls is not None:
+                    graph.classes[cls].methods.setdefault(stmt.name, qname)
+                # nested defs live under the function's scope
+                walk_scope(stmt.body, qname, None)
+            elif isinstance(stmt, ast.ClassDef):
+                qname = f"{scope}.{stmt.name}"
+                graph.classes[qname] = _ClassInfo(module, stmt)
+                walk_scope(stmt.body, qname, qname)
+            elif isinstance(stmt, (ast.If, ast.Try, ast.With,
+                                   ast.For, ast.While)):
+                # defs behind guards (TYPE_CHECKING, try/except import)
+                walk_scope(
+                    [sub for sub in ast.iter_child_nodes(stmt)
+                     if isinstance(sub, (*_FUNCTION_DEFS, ast.ClassDef))],
+                    scope, cls,
+                )
 
-        def walk_scope(
-            body: List[ast.stmt], scope: str, cls: Optional[str]
-        ) -> None:
-            for stmt in body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    fn = register_fn(stmt, scope, cls)
-                    if cls is not None:
-                        graph.classes[cls].methods.setdefault(
-                            stmt.name, fn.qname
-                        )
-                    # nested defs live under the function's scope
-                    walk_scope(stmt.body, fn.qname, None)
-                elif isinstance(stmt, ast.ClassDef):
-                    qname = f"{scope}.{stmt.name}"
-                    graph.classes[qname] = ClassInfo(
-                        qname, info.name, stmt
-                    )
-                    walk_scope(stmt.body, qname, qname)
-                elif isinstance(stmt, (ast.If, ast.Try, ast.With,
-                                       ast.For, ast.While)):
-                    # defs behind guards (TYPE_CHECKING, try/except import)
-                    for sub in ast.iter_child_nodes(stmt):
-                        if isinstance(sub, (ast.FunctionDef, ast.ClassDef,
-                                            ast.AsyncFunctionDef)):
-                            walk_scope([sub], scope, cls)
-
-        walk_scope(info.tree.body, info.name, None)
-
-    # pass 2: resolve bases, then call edges
-    def resolve(self) -> CallGraph:
-        graph = self.graph
-        graph._index()
-        for cls in graph.classes.values():
-            resolved: List[str] = []
-            for base in cls.node.bases:
-                name = None
-                if isinstance(base, ast.Name):
-                    name = base.id
-                elif isinstance(base, ast.Attribute):
-                    name = chain_of(base)
-                if name is None:
-                    continue
-                target = graph.resolve_class(cls.module, name)
-                resolved.append(target if target else name)
-            cls.bases = resolved
-        graph._index()  # subclass map needs resolved bases
-        for qname in sorted(graph.functions):
-            node = graph.functions[qname]
-            if isinstance(node.node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                graph.calls[qname] = _FunctionResolver(
-                    self, node
-                ).resolve()
-        graph._callers = None
-        return graph
+    walk_scope(tree.body, module, None)
 
 
 class _FunctionResolver:
-    """Extracts and resolves the call sites of one function."""
+    """Extracts and resolves the callees of one function."""
 
-    def __init__(self, builder: _Builder, fn: FunctionNode) -> None:
-        self.builder = builder
-        self.graph = builder.graph
+    def __init__(
+        self,
+        graph: CallGraph,
+        hints: Dict[str, Sequence[str]],
+        fn: FunctionNode,
+    ) -> None:
+        self.graph = graph
+        self.hints = hints
         self.fn = fn
-        self.module = self.graph.modules[fn.module]
+        self.imports = graph.imports[fn.module]
         self.aliases: Dict[str, str] = {}
-        #: local name -> function qname (lambdas / bound-method values)
+        #: local name -> method qname (``step = self.step``)
         self.bound: Dict[str, str] = {}
-        #: local name -> class qname (x = Foo())
+        #: local name -> class qname (``x = Foo()``)
         self.instances: Dict[str, str] = {}
-        self.sites: List[CallSite] = []
+        self.targets: List[str] = []
 
-    def resolve(self) -> List[CallSite]:
-        self._scan_aliases(self.fn.node)
-        self._walk(self.fn.node, top=True)
-        return self.sites
-
-    # -- alias scan (source order, flow-insensitive) -------------------------
-    def _scan_aliases(self, root: ast.AST) -> None:
-        for node in self._iter_scope(root):
+    def resolve(self) -> List[str]:
+        for node in self._iter_scope(self.fn.node):
             if isinstance(node, ast.Assign):
                 self._bind_assign(node.targets, node.value)
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
                 self._bind_assign([node.target], node.value)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
+            elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
                 self._bind_loop(node.target, node.iter)
             elif isinstance(node, ast.withitem):
                 if node.optional_vars is not None:
                     self._bind_assign(
                         [node.optional_vars], node.context_expr
                     )
-            elif isinstance(node, ast.comprehension):
-                self._bind_loop(node.target, node.iter)
             elif isinstance(node, ast.NamedExpr):
                 # walrus: (x := expr) binds like an assignment
                 self._bind_assign([node.target], node.value)
+        call_funcs: Set[int] = set()
+        for node in self._iter_scope(self.fn.node):
+            if isinstance(node, ast.Call):
+                call_funcs.add(id(node.func))
+                self._resolve_call(node)
+        # Properties used as values: attribute loads that are not the
+        # func of a call but resolve to a property getter.
+        for node in self._iter_scope(self.fn.node):
+            if (
+                isinstance(node, ast.Attribute)
+                and id(node) not in call_funcs
+                and isinstance(node.ctx, ast.Load)
+            ):
+                self._resolve_property(node)
+        return self.targets
 
+    @staticmethod
+    def _iter_scope(root: ast.AST):
+        """Walk ``root`` preorder, in source order, without descending
+        into nested def/lambda bodies.  Source order matters: the alias
+        scan is flow-insensitive and lets the source-last binding of a
+        reused local win, which is right far more often than an
+        arbitrary traversal order."""
+        yield root
+        stack: List[ast.AST] = list(reversed(list(ast.iter_child_nodes(root))))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (*_FUNCTION_DEFS, ast.Lambda)):
+                continue
+            yield node
+            stack.extend(reversed(list(ast.iter_child_nodes(node))))
+
+    # -- alias scan (source order, flow-insensitive) -------------------------
     def _bind_assign(
         self, targets: List[ast.expr], value: ast.expr
     ) -> None:
-        # x = lambda ...  /  x = self.method (bound value)
-        if isinstance(value, ast.Lambda):
-            qname = f"{self.fn.qname}.<lambda:{value.lineno}>"
-            if qname not in self.graph.functions:
-                self.graph.functions[qname] = FunctionNode(
-                    qname, self.fn.module, self.fn.cls, value, self.fn.path
-                )
-                self.graph.calls[qname] = []
-            for t in targets:
-                if isinstance(t, ast.Name):
-                    self.bound[t.id] = qname
-            return
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
         if isinstance(value, ast.Attribute):
-            bound = self._bound_method_qname(value)
+            # x = self.method (bound value); also recorded as a chain alias
+            bound = self._bound_method(value)
             if bound is not None:
-                for t in targets:
-                    if isinstance(t, ast.Name):
-                        self.bound[t.id] = bound
-                # fall through: also record the chain alias
+                for name in names:
+                    self.bound[name] = bound
         if isinstance(value, ast.Call):
             cls = self._class_of_call(value)
             if cls is not None:
-                for t in targets:
-                    if isinstance(t, ast.Name):
-                        self.instances[t.id] = cls
+                for name in names:
+                    self.instances[name] = cls
                 return
         chain = chain_of(value, self.aliases)
         for t in targets:
@@ -638,9 +463,8 @@ class _FunctionResolver:
                     self._bind_loop(elt, src)
             return
         chain = chain_of(iter_expr, self.aliases)
-        if chain is None:
-            return
-        self._bind_element(target, f"{chain}[]")
+        if chain is not None:
+            self._bind_element(target, f"{chain}[]")
 
     def _bind_element(self, target: ast.expr, element: str) -> None:
         """Bind a (possibly nested tuple) loop target to an element chain."""
@@ -655,89 +479,41 @@ class _FunctionResolver:
                 else:
                     self._bind_element(elt, f"{element}[]")
 
-    def _bound_method_qname(self, node: ast.Attribute) -> Optional[str]:
+    def _bound_method(self, node: ast.Attribute) -> Optional[str]:
         """``self.method`` (no call) as a bound-method value."""
         if (
             isinstance(node.value, ast.Name)
             and node.value.id == "self"
             and self.fn.cls is not None
         ):
-            flat = self.graph.flattened_methods(self.fn.cls)
-            target = flat.get(node.attr)
+            target = self.graph._inherited(self.fn.cls, node.attr)
             if target is not None and not target.is_property:
                 return target.qname
         return None
 
     def _class_of_call(self, call: ast.Call) -> Optional[str]:
-        name = None
-        if isinstance(call.func, ast.Name):
-            name = call.func.id
-        elif isinstance(call.func, ast.Attribute):
-            name = chain_of(call.func)
+        name = chain_of(call.func) if isinstance(
+            call.func, (ast.Name, ast.Attribute)
+        ) else None
         if name is None:
             return None
         return self.graph.resolve_class(self.fn.module, name)
 
-    # -- call extraction ------------------------------------------------------
-    def _iter_scope(self, root: ast.AST, top: bool = True):
-        """Walk ``root`` preorder, in source order, without descending
-        into nested def/lambda bodies.  Source order matters: the alias
-        scan is flow-insensitive and lets the source-last binding of a
-        reused local win, which is right far more often than an
-        arbitrary traversal order."""
-        stack: List[ast.AST] = [root]
-        first = True
-        while stack:
-            node = stack.pop()
-            if not first and isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            first = False
-            yield node
-            stack.extend(reversed(list(ast.iter_child_nodes(node))))
-
-    def _walk(self, root: ast.AST, top: bool = True) -> None:
-        call_funcs: Set[int] = set()
-        for node in self._iter_scope(root):
-            if isinstance(node, ast.Call):
-                call_funcs.add(id(node.func))
-                self._resolve_call(node)
-        # Properties used as values: attribute loads that are not the
-        # func of a call but resolve to a property getter.
-        for node in self._iter_scope(root):
-            if (
-                isinstance(node, ast.Attribute)
-                and id(node) not in call_funcs
-                and isinstance(node.ctx, ast.Load)
-            ):
-                self._resolve_property(node)
-
-    def _add(
-        self,
-        attr: str,
-        receiver: Optional[str],
-        lineno: int,
-        targets: List[str],
-        kind: str,
-    ) -> None:
-        uniq: List[str] = []
+    # -- call resolution ------------------------------------------------------
+    def _add(self, targets: Iterable[str]) -> None:
         for t in targets:
-            if t not in uniq:
-                uniq.append(t)
-        self.sites.append(
-            CallSite(self.fn.qname, attr, receiver, lineno, tuple(uniq), kind)
-        )
+            if t not in self.targets:
+                self.targets.append(t)
 
     def _method_targets(
         self, class_qname: str, method: str, subclasses: bool = True
     ) -> List[str]:
         out: List[str] = []
-        node = self.graph.flattened_methods(class_qname).get(method)
+        node = self.graph._inherited(class_qname, method)
         if node is not None:
             out.append(node.qname)
         if subclasses:
-            for sub in self.graph.all_subclasses(class_qname):
+            for sub in self.graph._all_subclasses(class_qname):
                 own = self.graph.classes[sub].methods.get(method)
                 if own is not None:
                     out.append(own)
@@ -745,135 +521,100 @@ class _FunctionResolver:
 
     def _resolve_call(self, call: ast.Call) -> None:
         fn = call.func
-        lineno = getattr(call, "lineno", 0)
+        graph = self.graph
 
         if isinstance(fn, ast.Name):
             name = fn.id
-            # bound value / lambda held in a local
-            bound = self.bound.get(name)
-            if bound is not None:
-                self._add(name, None, lineno, [bound], "function")
-                return
-            # plain function (local, nested, or imported)
-            target = self.graph.resolve_name(self.fn.module, name)
-            if target is None:
-                nested = f"{self.fn.qname}.{name}"
-                if nested in self.graph.functions:
-                    target = nested
+            # bound method held in a local, then a plain (local, nested
+            # or imported) function, then a class instantiation
+            target = (
+                self.bound.get(name)
+                or graph.resolve_name(self.fn.module, name)
+            )
+            nested = f"{self.fn.qname}.{name}"
+            if target is None and nested in graph.functions:
+                target = nested
             if target is not None:
-                self._add(name, None, lineno, [target], "function")
+                self._add([target])
                 return
-            # class instantiation -> __init__
-            cls = self.graph.resolve_class(self.fn.module, name)
+            cls = graph.resolve_class(self.fn.module, name)
             if cls is not None:
-                self._add(
-                    name, None, lineno,
-                    self._method_targets(cls, "__init__", subclasses=False),
-                    "init",
-                )
+                self._add(self._method_targets(cls, "__init__", False))
             return
 
         if not isinstance(fn, ast.Attribute):
             return
         method = fn.attr
+        receiver = fn.value
 
         # super().m(...)
         if (
-            isinstance(fn.value, ast.Call)
-            and isinstance(fn.value.func, ast.Name)
-            and fn.value.func.id == "super"
+            isinstance(receiver, ast.Call)
+            and isinstance(receiver.func, ast.Name)
+            and receiver.func.id == "super"
             and self.fn.cls is not None
         ):
-            targets: List[str] = []
-            cls = self.graph.classes.get(self.fn.cls)
-            for base in (cls.bases if cls else []):
-                targets.extend(
-                    self._method_targets(base, method, subclasses=False)
-                )
-            self._add(method, "super()", lineno, targets, "super")
+            for base in graph.classes[self.fn.cls].bases:
+                self._add(self._method_targets(base, method, False))
             return
 
         # self.m(...)
         if (
-            isinstance(fn.value, ast.Name)
-            and fn.value.id == "self"
+            isinstance(receiver, ast.Name)
+            and receiver.id == "self"
             and self.fn.cls is not None
         ):
-            self._add(
-                method, "self", lineno,
-                self._method_targets(self.fn.cls, method), "self",
-            )
+            self._add(self._method_targets(self.fn.cls, method))
             return
 
         # instance local: x = Foo(); x.m(...)
-        if isinstance(fn.value, ast.Name):
-            cls = self.instances.get(fn.value.id)
-            if cls is not None:
-                self._add(
-                    method, f"instance:{cls}", lineno,
-                    self._method_targets(cls, method), "instance",
-                )
-                return
+        if isinstance(receiver, ast.Name) and receiver.id in self.instances:
+            self._add(
+                self._method_targets(self.instances[receiver.id], method)
+            )
+            return
 
         # ClassName.m(...) / module.func(...) via imports
-        direct = chain_of(fn.value)
+        direct = chain_of(receiver)
         if direct is not None and "[]" not in direct:
-            cls = self.graph.resolve_class(self.fn.module, direct)
+            cls = graph.resolve_class(self.fn.module, direct)
             if cls is not None:
-                self._add(
-                    method, direct, lineno,
-                    self._method_targets(cls, method, subclasses=False),
-                    "instance",
-                )
+                self._add(self._method_targets(cls, method, False))
                 return
-            dotted = self.module.imports.get(direct.split(".", 1)[0])
+            head, _, rest = direct.partition(".")
+            dotted = self.imports.get(head)
             if dotted is not None:
                 candidate = (
-                    dotted + "." + direct.split(".", 1)[1] + "." + method
-                    if "." in direct
+                    f"{dotted}.{rest}.{method}" if rest
                     else f"{dotted}.{method}"
                 )
-                if candidate in self.graph.functions:
-                    self._add(
-                        method, direct, lineno, [candidate], "function"
-                    )
+                if candidate in graph.functions:
+                    self._add([candidate])
                     return
 
         # receiver chain + hints
-        chain = chain_of(fn.value, self.aliases)
-        if chain is not None:
-            hinted = self._hinted_classes(chain)
-            if hinted:
-                targets = []
-                for cls in hinted:
-                    targets.extend(self._method_targets(cls, method))
-                self._add(method, chain, lineno, targets, "hint")
-                return
+        chain = chain_of(receiver, self.aliases)
+        hinted = self._hinted_classes(chain) if chain is not None else []
+        if hinted:
+            for cls in hinted:
+                self._add(self._method_targets(cls, method))
+            return
 
         # name-based fallback: every class defining the method
-        if method in _GENERIC_METHODS:
-            self._add(method, chain, lineno, [], "heuristic")
-            return
-        candidates = self.graph._method_index.get(method, [])
-        self._add(method, chain, lineno, list(candidates), "heuristic")
+        if method not in _GENERIC_METHODS:
+            self._add(graph._method_index.get(method, []))
 
     def _hinted_classes(self, chain: str) -> List[str]:
-        hints = self.builder.hints
-        if not hints:
-            return []
         last = chain.split(".")[-1]
-        names = hints.get(last)
+        names = self.hints.get(last)
         if names is None and last.endswith("[]"):
-            names = hints.get(last[:-2])
-        if names is None:
-            return []
+            names = self.hints.get(last[:-2])
         out: List[str] = []
-        for name in names:
-            out.extend(self.graph.classes_named(name))
+        for name in names or ():
+            out.extend(self.graph._classes_by_name.get(name, []))
         return out
 
     def _resolve_property(self, node: ast.Attribute) -> None:
-        attr = node.attr
         classes: List[str] = []
         if (
             isinstance(node.value, ast.Name)
@@ -889,15 +630,10 @@ class _FunctionResolver:
                 cls = self.instances.get(node.value.id)
                 if cls is not None:
                     classes = [cls]
-        targets: List[str] = []
         for cls in classes:
-            candidate = self.graph.flattened_methods(cls).get(attr)
-            if candidate is not None and candidate.is_property:
-                targets.append(candidate.qname)
-        if targets:
-            self._add(
-                attr, None, getattr(node, "lineno", 0), targets, "property"
-            )
+            getter = self.graph._inherited(cls, node.attr)
+            if getter is not None and getter.is_property:
+                self._add([getter.qname])
 
 
 def build_call_graph(
@@ -909,9 +645,39 @@ def build_call_graph(
     ``receiver_hints`` maps terminal receiver-chain segments (e.g.
     ``"routers[]"``, ``"telemetry"``) to candidate class bare names,
     narrowing attribute-call resolution where local typing fails.
-    Unparsable modules are recorded in ``graph.errors`` and skipped.
+    Unparsable modules are skipped (the lints report the syntax error).
     """
-    builder = _Builder(receiver_hints)
+    graph = CallGraph()
     for path, text in sources:
-        builder.add_module(path, text)
-    return builder.resolve()
+        try:
+            tree = ast.parse(text, filename=path)
+        except SyntaxError:
+            continue
+        name = module_name_for(path)
+        # Uniquify collisions (two fixture files both named "module").
+        base, n = name, 2
+        while name in graph.imports:
+            name = f"{base}_{n}"
+            n += 1
+        graph.imports[name] = _module_imports(name, tree)
+        graph.module_by_path[path] = name
+        _collect_defs(graph, name, tree)
+    graph._index()
+    for cls in graph.classes.values():
+        names = [
+            base.id if isinstance(base, ast.Name) else chain_of(base)
+            for base in cls.node.bases
+            if isinstance(base, (ast.Name, ast.Attribute))
+        ]
+        cls.bases = [
+            graph.resolve_class(cls.module, name) or name
+            for name in names
+            if name is not None
+        ]
+    graph._index()  # the subclass map needs resolved bases
+    hints = dict(receiver_hints or {})
+    for qname in sorted(graph.functions):
+        graph.calls[qname] = _FunctionResolver(
+            graph, hints, graph.functions[qname]
+        ).resolve()
+    return graph

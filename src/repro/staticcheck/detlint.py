@@ -416,11 +416,7 @@ def _caller_chain(graph: CallGraph, path: str, lineno: int) -> List[str]:
     chain = [fn.qname]
     seen = {fn.qname}
     while len(chain) <= _CHAIN_DEPTH:
-        callers = sorted(
-            caller
-            for caller, _site in graph.callers_of(chain[0])
-            if caller not in seen
-        )
+        callers = [c for c in graph.callers_of(chain[0]) if c not in seen]
         if not callers:
             break
         chain.insert(0, callers[0])

@@ -306,7 +306,9 @@ def check_config(model: ResolvedModel, report: CheckReport) -> None:
     link_latency = cfg.noc_hop_latency
     rtt = credit_round_trip_cycles(link_latency)
     vc_capacity = cfg.long_packet_flits  # builder: one long packet per VC
-    if vc_capacity < rtt:
+    # A link moves one flit per cycle, so a buffer of N flits covers N
+    # cycles of the round trip.
+    if vc_capacity < rtt:  # unit: cycles
         report.add(
             "credit-rtt", Severity.WARNING, loc,
             f"VC buffer of {vc_capacity} flits is shallower than the "

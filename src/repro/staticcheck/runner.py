@@ -1,10 +1,10 @@
 """CheckRunner — one front door for every static analysis, plus the gate.
 
 :class:`CheckRunner` exposes the model checks (scheme/spec level) and the
-code checks (determinism/unit/protocol/pool lints) behind
-one object that filters by rule id and
-renders one :class:`~repro.staticcheck.diagnostics.CheckReport`.  The
-code checks share a single interprocedural call graph per invocation.
+code checks (determinism and unit lints) behind one object that
+filters by rule id and renders one
+:class:`~repro.staticcheck.diagnostics.CheckReport`.  The determinism
+lint's hints walk one call graph built per invocation.
 
 :func:`validate_spec` is the enforcement point wired into
 :mod:`repro.experiments.api`: it runs the model checks for a
@@ -127,25 +127,6 @@ RULES: Dict[str, tuple] = {
         "no mixed-dimension arithmetic (bits/bytes/flits/packets/cycles "
         "inferred via dataflow; convert explicitly or annotate '# unit:')",
     ),
-    "proto-credit-return": (
-        "code",
-        "every buffer pop path in credit-owning classes reaches a "
-        "credit-return call (wormhole conservation)",
-    ),
-    "proto-push-guard": (
-        "code",
-        "every buffer push path is dominated by a capacity/credit check",
-    ),
-    "pool-global-write": (
-        "code",
-        "pool worker functions must not write module-global mutable "
-        "state (parallel==serial determinism)",
-    ),
-    "pool-capture": (
-        "code",
-        "no lambdas, closures, or bound methods submitted to the "
-        "process pool (captured state is copied, not shared)",
-    ),
 }
 
 
@@ -206,18 +187,12 @@ class CheckRunner:
 
     # -- code checks ---------------------------------------------------------
     def _code_reports(self, items: Sequence[tuple]) -> CheckReport:
-        """All code lints over ``(path, text)`` pairs sharing one graph.
+        """All code lints over ``(path, text)`` pairs.
 
-        One call graph (with the component receiver hints) serves every
-        graph-aware lint: det/pool run per file against it, while the
-        protocol pass is inherently whole-graph and runs once.
+        One call graph (with the component receiver hints) gives the
+        det lint's ``reached via`` caller chains across modules.
         """
-        from repro.staticcheck import (
-            detlint,
-            poollint,
-            protolint,
-            unitlint,
-        )
+        from repro.staticcheck import detlint, unitlint
         from repro.staticcheck.callgraph import RECEIVER_HINTS, build_call_graph
 
         graph = build_call_graph(items, receiver_hints=RECEIVER_HINTS)
@@ -225,12 +200,10 @@ class CheckRunner:
         for path, text in items:
             report.extend(detlint.lint_source(text, path, graph=graph))
             report.extend(unitlint.lint_source(text, path))
-            report.extend(poollint.lint_source(text, path, graph=graph))
-        report.extend(protolint.lint_graph(graph))
         return self._filtered(report)
 
     def check_source(self, text: str, path: str = "<string>") -> CheckReport:
-        """All code lints (det/unit/proto/pool) over one module."""
+        """All code lints (det/unit) over one module."""
         return self._code_reports([(path, text)])
 
     def check_paths(self, paths: Sequence[str]) -> CheckReport:

@@ -4,17 +4,25 @@ import random
 
 import pytest
 
+from repro import GPGPUSystem, GPUConfig, benchmark, scheme
 from repro.noc import Network, NetworkConfig
 from repro.noc.flit import Packet, PacketType
-from repro.noc.ni import NIKind
+from repro.noc.ni import BaselineNI, NIKind, SplitNI
 from repro.noc.validation import InvariantChecker, InvariantViolation
 
 
-def loaded_network(routing="xy", ari=False, seed=5, packets=60):
+def loaded_network(routing="xy", ari=False, seed=5, packets=60,
+                   ni_kind=None):
+    """A 4x4 mesh under random traffic; ``ni_kind`` gives every node that
+    NI instead of the default (one SplitNI at node 5 when ``ari``)."""
+    if ni_kind is not None:
+        accelerated = set(range(16))
+    else:
+        accelerated = {5} if ari else set()
+        ni_kind = NIKind.SPLIT if ari else NIKind.ENHANCED
     cfg = NetworkConfig(
         width=4, height=4, routing=routing,
-        accelerated_nodes={5} if ari else set(),
-        ni_kind=NIKind.SPLIT if ari else NIKind.ENHANCED,
+        accelerated_nodes=accelerated, ni_kind=ni_kind,
         injection_speedup=4 if ari else 1,
         priority_enabled=ari, priority_levels=2 if ari else 1,
     )
@@ -151,6 +159,47 @@ class TestFailureInjection:
             net.step()
         with pytest.raises(InvariantViolation, match="in flight"):
             InvariantChecker(net).check_quiescent_conservation()
+
+
+def baseline_ni_run():
+    net, pump = loaded_network(ni_kind=NIKind.BASELINE_NARROW)
+
+    def step():
+        pump()
+        net.step()
+
+    return net, step, BaselineNI
+
+
+def ada_ari_run():
+    cfg = GPUConfig.scaled(4, warps_per_core=8)
+    system = GPGPUSystem(cfg, scheme("ada-ari"), benchmark("bfs"), seed=2)
+    system.prewarm_caches()
+    return system.reply_net, system.step, SplitNI
+
+
+class TestInjectionCredits:
+    """The NI->router injection channel is audited exactly, like a link."""
+
+    @pytest.mark.parametrize(
+        "run", [baseline_ni_run, ada_ari_run], ids=["baseline-ni", "ada-ari"]
+    )
+    def test_poked_ni_credit_is_caught(self, run):
+        net, step, ni_type = run()
+        checker = InvariantChecker(net)
+        for _ in range(60):
+            step()
+            checker.audit()
+        ni = next(ni for ni in net.nis if isinstance(ni, ni_type))
+        key = next(iter(ni.credits))
+        for delta in (1, -1):
+            ni.credits[key] += delta
+            with pytest.raises(InvariantViolation, match="injection credits"):
+                checker.audit()
+            ni.credits[key] -= delta
+        for _ in range(20):
+            step()
+            checker.audit()
 
 
 class TestAccountingUnderDrops:

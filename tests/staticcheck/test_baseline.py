@@ -24,7 +24,7 @@ class TestFingerprint:
     def test_distinguishes_rule_path_message(self):
         diags = report_with(
             ("unit-mix", "src/m.py:1", "msg"),
-            ("pool-capture", "src/m.py:1", "msg"),
+            ("det-random", "src/m.py:1", "msg"),
             ("unit-mix", "src/other.py:1", "msg"),
             ("unit-mix", "src/m.py:1", "other msg"),
         ).diagnostics
@@ -37,14 +37,14 @@ class TestRoundTrip:
         path = str(tmp_path / "baseline.json")
         findings = report_with(
             ("unit-mix", "src/m.py:10", "mixes flits with cycles"),
-            ("proto-push-guard", "src/n.py:5", "push without guard"),
+            ("det-set-iter", "src/n.py:5", "iteration over a set"),
         )
         assert baseline.save(path, findings) == 2
 
         # identical findings (different lines) are fully absorbed
         fresh_scan = report_with(
             ("unit-mix", "src/m.py:12", "mixes flits with cycles"),
-            ("proto-push-guard", "src/n.py:7", "push without guard"),
+            ("det-set-iter", "src/n.py:7", "iteration over a set"),
         )
         remaining, matched, stale = baseline.apply(
             fresh_scan, baseline.load(path)

@@ -40,21 +40,18 @@ class TestRuleCatalog:
         assert set(model) | set(code) == set(RULES)
         assert not set(model) & set(code)
         assert all(
-            r.startswith(
-                ("det-", "unit-", "proto-", "pool-")
-            )
+            r.startswith(("det-", "unit-"))
             for r in code
         )
 
     def test_dataflow_rules_registered(self):
-        code = set(rule_ids("code"))
-        assert {
+        assert set(rule_ids("code")) == {
+            "det-random",
+            "det-wallclock",
+            "det-set-iter",
+            "det-float-cycle",
             "unit-mix",
-            "proto-credit-return",
-            "proto-push-guard",
-            "pool-global-write",
-            "pool-capture",
-        } <= code
+        }
 
     def test_rule_ids_default_is_everything(self):
         assert rule_ids() == list(RULES)
@@ -107,17 +104,15 @@ class TestCheckRunner:
     def test_check_source_runs_every_code_pass(self):
         source = (
             "import time\n"
-            "CACHE = {}\n"
             "t = time.time()\n"                        # det-wallclock
             "def f(now, payload_flits):\n"
             "    return now + payload_flits\n"         # unit-mix
-            "def _work(x):\n"
-            "    CACHE[x] = x\n"                       # pool-global-write
-            "def run(pool, items):\n"
-            "    pool.map(_work, items)\n"
+            "def g(items):\n"
+            "    for x in set(items):\n"              # det-set-iter
+            "        yield x\n"
         )
         report = CheckRunner().check_source(source, path="x.py")
-        assert {"det-wallclock", "unit-mix", "pool-global-write"} <= set(
+        assert {"det-wallclock", "unit-mix", "det-set-iter"} <= set(
             report.rules_hit()
         )
 
