@@ -9,11 +9,13 @@ code that ran them: ``noc.router``, ``noc.network``, ``gpu.core`` and so
 on, the layer names of ``BENCHMARK.json``; code outside ``repro`` is
 ``other``.  Router steps generated per shape (``repro.noc.stepgen``,
 file names ``<repro.noc.router step, ...>``) count as ``noc.router``.
-It also records router visits, VC allocation attempts and successful VC
-claims as call counts of ``Router.step``, ``Router._try_allocate`` and
-``Router._commit_allocation`` (attempts minus claims are the allocations
-that failed), and, from the values ``Router.step`` returns, the flits
-switched and the visits that moved no flit (``empty_visits``).
+It also records router visits as call counts of ``Router.step``, and VC
+allocation attempts and successful VC claims as call counts of the
+closures ``_try_allocate`` and ``_commit_allocation`` that each router's
+generated step defines (found by code name among ``noc.router`` code;
+attempts minus claims are the allocations that failed), and, from the
+values ``Router.step`` returns, the flits switched and the visits that
+moved no flit (``empty_visits``).
 
 Each simulation runs in a fresh interpreter with a fixed hash seed, so
 the counts repeat exactly and the gate is equality with the table pinned

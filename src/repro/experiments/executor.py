@@ -556,5 +556,13 @@ class SweepExecutor:
                     else:
                         for i, payload in zip(group, payloads):
                             complete(i, SimulationResult(**payload))
+        except BaseException:
+            # The pool's manager thread can be left waiting on a task
+            # that will never report (one that failed to pickle after
+            # shutdown began), and interpreter exit joins that thread.
+            # Stopping the workers makes it see a broken pool and exit.
+            for proc in list((pool._processes or {}).values()):
+                proc.terminate()
+            raise
         finally:
             pool.shutdown(wait=False, cancel_futures=True)

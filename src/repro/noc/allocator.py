@@ -9,10 +9,11 @@ The paper's configuration (Table I) uses a separable input-first allocator:
 2. *output stage*: each output port grants one of the bidding inputs.
 
 Both stages compare the ARI priority field first (Sec. 5) and break ties
-round-robin.  The arbitration itself runs inline in
-:meth:`repro.noc.router.Router.step`; this module holds the per-router
-state it reads and writes: one :class:`RoundRobinArbiter` pointer per
-input and per output, and the per-input speedups.
+round-robin.  The arbitration itself is generated into each router's
+step (:mod:`repro.noc.stepgen`), fused into its rotated sweep; this
+module holds the per-router state it reads and writes: one
+:class:`RoundRobinArbiter` pointer per input and per output, and the
+per-input speedups.
 """
 
 from __future__ import annotations

@@ -135,23 +135,6 @@ class VirtualChannel:
                 raise RuntimeError("body flit at VC front without a route")
             self.state = VCState.ACTIVE
 
-    # -- pipeline state transitions --------------------------------------
-    def set_route(self, out_port: int) -> None:
-        if self.state != VCState.ROUTING:
-            raise RuntimeError(f"set_route in state {self.state!r}")
-        self.out_port = out_port
-        front = self.fifo[0]
-        front.out_port = out_port
-        self.state = VCState.VA
-
-    def set_out_vc(self, out_vc: int) -> None:
-        if self.state != VCState.VA:
-            raise RuntimeError(f"set_out_vc in state {self.state!r}")
-        self.out_vc = out_vc
-        front = self.fifo[0]
-        front.out_vc = out_vc
-        self.state = VCState.ACTIVE
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"VC(idx={self.index}, occ={self.occupancy}/{self.capacity},"

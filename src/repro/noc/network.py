@@ -301,11 +301,12 @@ class Network:
         moved = 0
         for router in self.routers:
             moved += router.step(now)
-        ejectors = self.ejectors
-        for r, link in enumerate(self.ejection_links):
-            ejector = ejectors[r]
-            for flit in link.arrivals(now):
-                ejector.receive_flit(flit, now)
+        for link, ejector in zip(self.ejection_links, self.ejectors):
+            # Most cycles no flit is due; skip the call then.
+            pipe = link._pipe
+            if pipe and pipe[0][0] <= now:
+                for flit in link.arrivals(now):
+                    ejector.receive_flit(flit, now)
         if moved or sent:
             self._last_progress = now
         if (

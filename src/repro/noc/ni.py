@@ -245,8 +245,10 @@ class _SingleQueueNI(InjectionInterface):
         if binding is None:
             raise RuntimeError("body flit at NI front without a binding")
         port, vc = binding
+        # The binding had room for the whole packet and this NI is the
+        # VC's only writer, so its credit cannot run out mid-packet.
         if self.credits[(port, vc)] <= 0:
-            return 0  # downstream VC full; wait for credits
+            raise RuntimeError(f"NI credit underflow on port {port} vc {vc}")
         flit = self.queue.popleft()
         flit.out_vc = vc
         flit.out_port = port
@@ -351,8 +353,10 @@ class MultiPortNI(_SingleQueueNI):
         if binding is None:
             raise RuntimeError("body flit at NI front without a binding")
         port, vc = binding
+        # The binding had room for the whole packet and this NI is the
+        # VC's only writer, so its credit cannot run out mid-packet.
         if self.credits[(port, vc)] <= 0:
-            return 0
+            raise RuntimeError(f"NI credit underflow on port {port} vc {vc}")
         flit = self.queue.popleft()
         flit.out_vc = vc
         flit.out_port = port

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.noc.allocator import SwitchAllocator
-from repro.noc.buffer import InputPort, VCState, VirtualChannel
+from repro.noc.buffer import InputPort, VCState
 from repro.noc.credit import CreditChannel, CreditCounter
 from repro.noc.link import Link
 from repro.noc.routing import LOCAL, RoutingAlgorithm
@@ -56,18 +56,6 @@ class OutputPort:
         # each downstream VC, and how many of its flits are still to send.
         self.writer: List[Optional[int]] = [None] * num_vcs
         self.writer_left: List[int] = [0] * num_vcs
-
-    def claim(self, vc: int, pid: int, size: int) -> None:
-        if self.writer[vc] is not None:
-            raise RuntimeError(f"output vc {vc} already claimed")
-        self.writer[vc] = pid
-        self.writer_left[vc] = size
-
-    def free_credit_total(self) -> int:
-        """Congestion score used by adaptive routing (bigger = freer)."""
-        if self.credits is None:
-            return 1 << 20
-        return self.credits.total
 
 
 class Router:
@@ -127,9 +115,6 @@ class Router:
         # VA fairness rotation.
         self._va_rr = 0
 
-        # Prefer adaptive VCs, escape VC 0 last.
-        self._vc_order = tuple(range(1, num_vcs)) + (0,)
-        self._adaptive_vcs = self._vc_order[:-1]
         # The generated step (see step()); built on the first visit, and
         # dropped (set to None) whenever the wiring or routing changes.
         # Whoever swaps ``routing`` must reset it; the setters below and
@@ -211,14 +196,6 @@ class Router:
     def occupancy(self) -> int:
         return self._occ
 
-    # -- allocation -----------------------------------------------------------
-    def _commit_allocation(
-        self, vc: VirtualChannel, out: OutputPort, out_port: int, dvc: int, pkt
-    ) -> None:
-        vc.set_route(out_port)
-        vc.set_out_vc(dvc)
-        out.claim(dvc, pkt.pid, pkt.size)
-
     # -- fault support ----------------------------------------------------------
     def purge_front_packet(self, port_id: int, vc_index: int, now: int):
         """Remove the whole packet at the front of an input VC (fault drop).
@@ -279,16 +256,18 @@ class Router:
     def step(self, now: int) -> int:
         """Advance the router one cycle; returns flits switched.
 
-        Credit delivery and flit ingestion, then route computation, VC
-        allocation and bid collection in one rotated sweep, two-stage
-        separable switch allocation, and switch traversal.  The body is
-        generated for this router's shape by :mod:`repro.noc.stepgen` on
-        the first visit and cached in ``_wiring``; setting ``_wiring`` to
-        None (done by every wiring setter) regenerates it on the next
-        visit.  A head whose last VC allocation failed is not retried
-        until one of its candidate outputs has freed something (the
-        ``_freed`` memo).  ``tests/noc/oracle.py`` keeps the
-        stage-by-stage version as a differential oracle.
+        Credit delivery and flit ingestion, then one rotated sweep that
+        computes routes, allocates VCs, collects each input's bids and
+        makes its stage-1 switch-allocation picks, folding them into a
+        running best per output (stage 2), and finally switch traversal
+        of the grants.  The body is generated for this router's shape by
+        :mod:`repro.noc.stepgen` on the first visit and cached in
+        ``_wiring``; setting ``_wiring`` to None (done by every wiring
+        setter) regenerates it on the next visit.  A head whose last VC
+        allocation failed is not retried until one of its candidate
+        outputs has freed something (the ``_freed`` memo).
+        ``tests/noc/oracle.py`` keeps the stage-by-stage version as a
+        differential oracle.
         """
         step = self._wiring
         if step is None:
@@ -300,142 +279,6 @@ class Router:
 
     # The frozen benchmark (benchmarks/e2e) looks this name up on every router.
     step_fast = step
-
-    def _allocate(self, bid_ports, port_bids):
-        """Two-stage separable input-first switch allocation.
-
-        Stage 1 lets each input pick up to its speedup of VCs bidding for
-        distinct outputs; stage 2 lets each output grant one input.  Both
-        stages prefer the higher ARI priority and break ties round-robin:
-        the first requester at or after the arbiter's pointer wins, and
-        the pointer moves just past the winner.  ``port_bids[p]`` holds
-        that input's bids as ``(vc, out_port, prio)`` tuples, one per VC,
-        in VC order.  Each stage-1 pick is one scan of those bids; stage
-        2 keeps a running best per output (an input reaches each output
-        at most once).  Returns winning ``(in_port, vc)`` pairs, ordered
-        by each output's first stage-1 pick.
-        """
-        alloc = self.allocator
-        in_arbs = alloc._input_arbiters
-        out_arbs = alloc._output_arbiters
-        speedups = alloc.speedups
-        nvc = self.num_vcs
-        n_in = self.num_inputs
-        best: List[Optional[tuple]] = [None] * 5  # output -> (in, vc, prio)
-        out_order = []
-        for p in bid_ports:
-            blist = port_bids[p]
-            arb = in_arbs[p]
-            budget = speedups.get(p, 1)
-            while True:
-                # -- stage 1: this input's next pick ----------------------
-                if len(blist) == 1:
-                    v, o, pr = blist[0]
-                else:
-                    # In VC order, an equal-priority bid displaces the best
-                    # only to move it from before the pointer to at/after it.
-                    nxt = arb._next
-                    win = None
-                    for t in blist:
-                        pr = t[2]
-                        if win is None or pr > win_pr:
-                            win, win_pr, wrapped = t, pr, t[0] < nxt
-                        elif wrapped and pr == win_pr and t[0] >= nxt:
-                            win, wrapped = t, False
-                    v, o, pr = win
-                arb._next = (v + 1) % nvc
-                # -- stage 2: running best at output o --------------------
-                cur = best[o]
-                if cur is None:
-                    best[o] = (p, v, pr)
-                    out_order.append(o)
-                elif pr > cur[2]:
-                    best[o] = (p, v, pr)
-                elif pr == cur[2]:
-                    onxt = out_arbs[o]._next
-                    cp = cur[0]
-                    if (p - onxt) % n_in < (cp - onxt) % n_in:
-                        best[o] = (p, v, pr)
-                budget -= 1
-                if not budget:
-                    break
-                # The winner goes too: it bid for output o.
-                blist = [t for t in blist if t[1] != o]
-                if not blist:
-                    break
-        grants = []
-        for o in out_order:
-            p, v, _pr = best[o]
-            out_arbs[o]._next = (p + 1) % n_in
-            grants.append((p, v))
-        return grants
-
-    def _try_allocate(self, vc: VirtualChannel, pkt, vc_rule: int) -> bool:
-        """Route-compute result -> claim an output VC (WPF); True on success.
-
-        ``vc_rule`` (the generated step's :attr:`stepgen.Shape.vc_rule`)
-        inlines the routing's VC legality check for XY and minimal
-        adaptive routing.
-        """
-        candidates = vc.candidates
-        outs = self.output_ports
-        routing = self.routing
-        if len(candidates) > 1 and routing.adaptive:
-            # Freest downstream first (a stable sort by free credits).
-            if len(candidates) == 2:
-                a, b = candidates
-                oa, ob = outs[a], outs[b]
-                fa = oa.free_credit_total() if oa is not None else -1
-                fb = ob.free_credit_total() if ob is not None else -1
-                if fb > fa:
-                    candidates = (b, a)
-            else:
-                candidates = sorted(
-                    candidates,
-                    key=lambda p: -(outs[p].free_credit_total()
-                                    if outs[p] is not None else -1),
-                )
-        escape = vc.escape
-        if escape is None:
-            escape = LOCAL
-        size = pkt.size
-        for out_port in candidates:
-            out = outs[out_port]
-            if out is None:
-                continue
-            writer = out.writer
-            if out_port == LOCAL:
-                # Ejection: claim any free writer slot (infinite credits).
-                for dvc in range(self.num_vcs):
-                    if writer[dvc] is None:
-                        self._commit_allocation(vc, out, out_port, dvc, pkt)
-                        return True
-                continue
-            credits = out.credits
-            if credits is None:
-                counts = None
-            else:
-                if credits.total < size:
-                    # counts[dvc] <= total for every dvc, so the whole
-                    # packet cannot fit anywhere on this output.
-                    continue
-                counts = credits.counts
-            if vc_rule == 1 and out_port != escape:
-                dvcs = self._adaptive_vcs  # escape VC 0 is for the XY hop only
-            else:
-                dvcs = self._vc_order
-            for dvc in dvcs:
-                if writer[dvc] is not None:
-                    continue
-                if counts is not None and counts[dvc] < size:
-                    continue
-                if vc_rule == 2 and not routing.vc_allowed(
-                    dvc, out_port, escape
-                ):
-                    continue
-                self._commit_allocation(vc, out, out_port, dvc, pkt)
-                return True
-        return False
 
     # The network installs this: maps a destination node id to mesh coords.
     _dest_coords = None  # type: ignore[assignment]

@@ -1,21 +1,24 @@
 """Per-shape code generation for :meth:`repro.noc.router.Router.step`.
 
 A router's step is the same pipeline on every router: credit delivery,
-ingest, a rotated route/VC-allocation/bid sweep, switch allocation and
-traversal.  What differs between routers is a handful of counts and
-flags, and much of a hand-written step's Python work went into
-rediscovering them on every visit: looping over port tables, unpacking
-wiring tuples and testing flags that never change.
+ingest, one rotated sweep that computes routes, allocates VCs and makes
+both stages of switch allocation, and traversal.  What differs between
+routers is a handful of counts and flags, and much of a hand-written
+step's Python work went into rediscovering them on every visit: looping
+over port tables, unpacking wiring tuples and testing flags that never
+change.
 
 :func:`shape_of` reads those counts and flags from a wired router into a
 :class:`Shape`.  :func:`source` turns a shape into the Python source of a
 factory whose closure is the step: credit delivery and ingest unrolled
 over the router's credited outputs and inputs (and their link pipes),
 the rotated sweep over a per-router table of ports with each port's VCs
-unrolled, and the shape's flags resolved at generation time.  Each shape
-is compiled once per process; :func:`specialize` binds one router's
-ports, VCs, pipes, credit queues, arbiters, port ids and route table into
-a fresh closure of its shape.
+unrolled, the VC allocator (``_try_allocate``, claiming through
+``_commit_allocation``) with the downstream VCs it tries unrolled, and
+the shape's flags resolved at generation time.  Each shape is compiled
+once per process; :func:`specialize` binds one router's ports, VCs,
+pipes, credit queues, arbiters, port ids and route table into a fresh
+closure of its shape.
 
 The shape holds counts and flags only, never port identities: a corner
 router wired north and east shares its code with one wired south and
@@ -31,6 +34,7 @@ prints a router's whole factory.
 from __future__ import annotations
 
 import linecache
+from types import SimpleNamespace
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from repro.noc.buffer import VCState
@@ -66,6 +70,8 @@ class Shape(NamedTuple):
     starvation: bool
     ni: bool
     gate: bool
+    #: Switch ports of each injection input (ARI speedup ``S``).
+    speedup: int
 
 
 def _vc_rule(routing) -> int:
@@ -119,6 +125,9 @@ def shape_of(router) -> Shape:
         ),
         ni=router.ni is not None,
         gate=router.ejection_gate is not None,
+        # The router gives every injection port the same speedup and the
+        # mesh ports none.
+        speedup=router.allocator.speedups.get(_MESH_PORTS, 1),
     )
 
 
@@ -166,8 +175,8 @@ def _vc_sweep(emit, d: int, s: Shape, i: int) -> None:
         emit(r + 1, "dc = dest_coords(pkt.dest)")
         emit(r + 1, f"{v}.candidates = routing.candidates(coords, dc)")
         emit(r + 1, f"{v}.escape = routing.escape_port(coords, dc)")
-        emit(r, f"if try_alloc({v}, pkt, 2):")
-        emit(r + 1, f"o = {v}.out_port")
+        emit(r, f"o = _try_allocate({v}, pkt)")
+        emit(r, "if o is not None:")
         _bid(emit, r + 1, s, i)
     else:
         emit(r, f"c = {v}.candidates")
@@ -179,8 +188,8 @@ def _vc_sweep(emit, d: int, s: Shape, i: int) -> None:
         # counters (which only grow) moves.
         emit(r, "key = freed[c[0]] + freed[c[-1]]")
         emit(r, f"if key != {v}.blocked:")
-        emit(r + 1, f"if try_alloc({v}, {v}.fifo[0].packet, {s.vc_rule}):")
-        emit(r + 2, f"o = {v}.out_port")
+        emit(r + 1, f"o = _try_allocate({v}, {v}.fifo[0].packet)")
+        emit(r + 1, "if o is not None:")
         _bid(emit, r + 2, s, i)
         emit(r + 1, "else:")
         emit(r + 2, f"{v}.blocked = key")
@@ -188,6 +197,156 @@ def _vc_sweep(emit, d: int, s: Shape, i: int) -> None:
     emit(d + 2, f"o = {v}.out_port")
     emit(d + 2, "if o is not None:")
     _bid(emit, d + 3, s, i)
+
+
+def _vc_allocator(emit, s: Shape) -> None:
+    """``_try_allocate`` (WPF VC allocation) and its claim function.
+
+    ``_try_allocate(vc, pkt)`` claims a downstream VC for the head at the
+    front of ``vc`` on its first candidate output with one free and
+    returns that output, or None.  A downstream VC is claimable when no
+    packet is being written into it and the whole packet fits; adaptive
+    VCs are tried before escape VC 0.
+    """
+    emit(1, "def _commit_allocation(vc, o, dvc, writer, wl, pkt):")
+    emit(2, "vc.out_port = o")
+    emit(2, "vc.out_vc = dvc")
+    emit(2, "vc.state = ACTIVE")
+    emit(2, "front = vc.fifo[0]")
+    emit(2, "front.out_port = o")
+    emit(2, "front.out_vc = dvc")
+    emit(2, "writer[dvc] = pkt.pid")
+    emit(2, "wl[dvc] = pkt.size")
+    emit(1, "def _try_allocate(vc, pkt):")
+    emit(2, "c = vc.candidates")
+    if s.vc_rule:
+        # Freest downstream first (a stable sort by free credits).
+        adaptive = "" if s.vc_rule == 1 else " and routing.adaptive"
+        emit(2, f"if len(c) > 1{adaptive}:")
+        emit(3, "if len(c) == 2:")
+        emit(4, "a, z = c")
+        emit(4, "if free[z].total > free[a].total:")
+        emit(5, "c = (z, a)")
+        emit(3, "else:")
+        emit(4, "c = sorted(c, key=lambda q: -free[q].total)")
+        emit(2, "escape = vc.escape")
+    if s.vc_rule == 2:
+        emit(2, "if escape is None:")
+        emit(3, f"escape = {LOCAL}")
+    emit(2, "size = pkt.size")
+    emit(2, "for o in c:")
+    emit(3, "t = tva[o]")
+    emit(3, "if t is None:")
+    emit(4, "continue")
+    emit(3, "cr, counts, writer, wl = t")
+    emit(3, f"if o == {LOCAL}:")
+    # Ejection: any free writer slot (infinite credits).
+    for dvc in range(s.num_vcs):
+        emit(4, f"if writer[{dvc}] is None:")
+        emit(5, f"_commit_allocation(vc, o, {dvc}, writer, wl, pkt)")
+        emit(5, "return o")
+    emit(4, "continue")
+    # counts[dvc] <= total for every dvc, so the whole packet cannot
+    # fit anywhere on this output.
+    emit(3, "if cr.total < size:")
+    emit(4, "continue")
+    for dvc in tuple(range(1, s.num_vcs)) + (0,):
+        test = f"writer[{dvc}] is None and counts[{dvc}] >= size"
+        if s.vc_rule == 1 and dvc == 0:
+            test = "o == escape and " + test  # VC 0 only on the XY hop
+        elif s.vc_rule == 2:
+            test += f" and routing.vc_allowed({dvc}, o, escape)"
+        emit(3, f"if {test}:")
+        emit(4, f"_commit_allocation(vc, o, {dvc}, writer, wl, pkt)")
+        emit(4, "return o")
+    emit(2, "return None")
+
+
+def _fold(emit, d: int, s: Shape) -> None:
+    """Stage 2: fold input ``k``'s pick ``(v, o, pr)`` into ``best[o]``.
+
+    ``order`` lists the outputs in the order of their first pick.
+    """
+    n = s.num_inputs
+    emit(d, "cur = best[o]")
+    emit(d, "if cur is None:")
+    emit(d + 1, "best[o] = (k, v, pr)")
+    emit(d + 1, "order.append(o)")
+    if s.priority:
+        emit(d, "elif pr > cur[2]:")
+        emit(d + 1, "best[o] = (k, v, pr)")
+        emit(d, "elif pr == cur[2]:")
+    else:
+        emit(d, "else:")
+    # Equal priority: the input first at or after the output's pointer.
+    emit(d + 1, "onxt = out_arbs[o]._next")
+    emit(d + 1, f"if (k - onxt) % {n} < (cur[0] - onxt) % {n}:")
+    emit(d + 2, "best[o] = (k, v, pr)")
+
+
+def _scan(emit, d: int, s: Shape, skip: bool) -> None:
+    """``win`` := the best bid in ``b`` at input pointer ``nxt``.
+
+    Highest priority first, then the first VC at or after the pointer.
+    In VC order, an equal-priority bid displaces the best only to move
+    it from before the pointer to at/after it.  With ``skip``, bids for
+    outputs in the ``taken`` mask are passed over.
+    """
+    if not (s.priority or skip):
+        # Every bid has priority 0: the first at or after the pointer.
+        emit(d, "for win in b:")
+        emit(d + 1, "if win[0] >= nxt:")
+        emit(d + 2, "break")
+        emit(d, "else:")
+        emit(d + 1, "win = b[0]")
+        return
+    emit(d, "win = None")
+    emit(d, "for t in b:")
+    if skip:
+        emit(d + 1, "if taken >> t[1] & 1:")
+        emit(d + 2, "continue")
+    emit(d + 1, "pr = t[2]")
+    emit(d + 1, "if win is None or pr > win_pr:")
+    emit(d + 2, "win, win_pr, wrapped = t, pr, t[0] < nxt")
+    emit(d + 1, "elif wrapped and pr == win_pr and t[0] >= nxt:")
+    emit(d + 2, "win, wrapped = t, False")
+
+
+def _picks(emit, d: int, s: Shape, budget: int) -> None:
+    """Stage 1 for input ``k``: up to ``budget`` picks on distinct outputs.
+
+    The input pointer moves past every pick, even one that then loses at
+    its output.  Each pick is folded into stage 2.
+    """
+    succ = _successors(s.num_vcs)
+    emit(d, "if len(b) == 1:")
+    emit(d + 1, "v, o, pr = b[0]")
+    if budget > 1:
+        emit(d + 1, f"in_arbs[k]._next = {succ}[v]")
+        _fold(emit, d + 1, s)
+    emit(d, "else:")
+    if budget == 1:
+        emit(d + 1, "nxt = in_arbs[k]._next")
+        _scan(emit, d + 1, s, skip=False)
+        emit(d + 1, "v, o, pr = win")
+        emit(d, f"in_arbs[k]._next = {succ}[v]")
+        _fold(emit, d, s)
+        return
+    emit(d + 1, "arb = in_arbs[k]")
+    emit(d + 1, "taken = 0")
+    emit(d + 1, f"budget = {budget}")
+    emit(d + 1, "while True:")
+    emit(d + 2, "nxt = arb._next")
+    _scan(emit, d + 2, s, skip=True)
+    emit(d + 2, "if win is None:")
+    emit(d + 3, "break")
+    emit(d + 2, "v, o, pr = win")
+    emit(d + 2, f"arb._next = {succ}[v]")
+    _fold(emit, d + 2, s)
+    emit(d + 2, "budget -= 1")
+    emit(d + 2, "if not budget:")
+    emit(d + 3, "break")
+    emit(d + 2, "taken |= 1 << o")
 
 
 def _ingest_flit(emit, d: int, s: Shape, j: int, injection: bool) -> None:
@@ -239,15 +398,10 @@ def _drain_pipe(emit, d: int, s: Shape, j: int, pipe: str, inj: bool) -> None:
     emit(d + 2, "break")
 
 
-def _traverse(emit, d: int, s: Shape, has_inj: bool, route=None) -> None:
-    """Move the front flit of granted VC ``v`` of input ``p`` downstream.
-
-    The output is ``o``, or read from the VC by ``route`` when given.
-    """
+def _traverse(emit, d: int, s: Shape, has_inj: bool) -> None:
+    """Move the front flit of granted VC ``v`` of input ``p`` to output ``o``."""
     emit(d, "port, vcs, cq, clat = tin[p]")
     emit(d, "vq = vcs[v]")
-    if route:
-        emit(d, f"o = {route}")
     emit(d, "ov = vq.out_vc")
     emit(d, "fifo = vq.fifo")
     emit(d, "ot = tout[o]")
@@ -322,9 +476,11 @@ def _successors(n: int) -> str:
 
 def _params(s: Shape) -> List[str]:
     names = [
-        "router", "rid", "freed", "try_alloc", "allocate", "in_arbs",
-        "out_arbs", "rot", "tin", "tout", "port_bids",
+        "router", "rid", "freed", "in_arbs", "out_arbs", "rot", "tin",
+        "tout", "tva",
     ]
+    if s.vc_rule:
+        names.append("free")
     for j in range(s.credited):
         names += [f"cq{j}", f"cc{j}", f"cr{j}", f"cw{j}", f"co{j}", f"ccap{j}"]
     for j, (_inj, npipes) in enumerate(s.inputs):
@@ -353,6 +509,7 @@ def source(s: Shape) -> str:
     emit = _Emitter()
     nvc = s.num_vcs
     emit(0, "def make(" + ", ".join(_params(s)) + "):")
+    _vc_allocator(emit, s)
     emit(1, "def _step(now):")
 
     # -- idle exit ------------------------------------------------------------
@@ -409,20 +566,23 @@ def source(s: Shape) -> str:
     emit(2, "if not occ:")
     emit(3, "return 0")
 
-    # -- route + VC allocation + bids, one rotated sweep --------------------
+    # -- route, VC and switch allocation, one rotated sweep ----------------
     # The stage-by-stage oracle makes two sweeps (rotation-ordered
-    # routing, then index-ordered bid collection).  One rotated sweep
-    # produces the same outcome: allocation order is preserved exactly, a
-    # VC allocated this cycle is ACTIVE by the time its bid is taken (the
-    # single-cycle router bids newly-routed VCs immediately), and the
-    # separable allocator resolves each input and each output
-    # independently, so the order bids are *listed* in cannot change any
-    # grant.  Unwired inputs never hold a flit, so ``rot`` skips them.
+    # routing, then index-ordered bid collection) and then allocates.
+    # One rotated sweep produces the same outcome: allocation order is
+    # preserved exactly, a VC allocated this cycle is ACTIVE by the time
+    # its bid is taken (the single-cycle router bids newly-routed VCs
+    # immediately), and the separable allocator resolves each input
+    # independently and each output by a running best, so each input's
+    # stage-1 picks are made right after its VCs are swept.  Unwired
+    # inputs never hold a flit, so ``rot`` skips them.
+    has_inj = any(inj for inj, _n in s.inputs)
     emit(2, "start = router._va_rr")
     emit(2, f"router._va_rr = {_successors(s.num_inputs)}[start]")
-    emit(2, "bid_ports = []")
+    emit(2, "best = [None] * 5")
+    emit(2, "order = []")
     if s.starvation:
-        emit(2, "inj_bids = False")
+        emit(2, "dem = None")
     if s.gate:
         emit(2, "ej = None")
     emit(2, "for e in rot[start]:")
@@ -432,66 +592,47 @@ def source(s: Shape) -> str:
     emit(3, "b = []")
     for i in range(nvc):
         _vc_sweep(emit, 3, s, i)
-    emit(3, "if b:")
-    emit(4, "port_bids[k] = b")
-    emit(4, "bid_ports.append(k)")
-    if s.starvation:
-        emit(4, f"if k >= {_MESH_PORTS}:")
-        emit(5, "inj_bids = True")
-    emit(2, "if not bid_ports:")
+    emit(3, "if not b:")
+    emit(4, "continue")
+    if has_inj and (s.starvation or s.speedup > 1):
+        emit(3, f"if k >= {_MESH_PORTS}:")
+        if s.starvation:
+            # Demotion is decided at the first injection input that
+            # bids: a through VC starves once its front has waited over
+            # thr cycles, and the sweep moves no mesh VC's front.
+            waits = [
+                f"(mv{m}.wait_since is not None and mv{m}.wait_since < lim"
+                f" and mv{m}.fifo)"
+                for m in range(nvc * sum(not inj for inj, _n in s.inputs))
+            ]
+            emit(4, "if dem is None:")
+            emit(5, "lim = now - thr")
+            if waits:
+                emit(5, "dem = (")
+                for m, w in enumerate(waits):
+                    emit(6, ("or " if m else "") + w)
+                emit(5, ")")
+            else:
+                emit(5, "dem = False")
+            emit(4, "if dem:")
+            emit(5, "router.starvation_demotions += len(b)")
+            emit(5, "b = [(t[0], t[1], 0) for t in b]")
+        _picks(emit, 4, s, s.speedup)
+        emit(3, "else:")
+        _picks(emit, 4, s, 1)
+    else:
+        _picks(emit, 3, s, 1)
+    emit(2, "if not order:")
     emit(3, "return 0")
 
-    if s.starvation:
-        # Demotion is only observable when an injection port bids.
-        # A through VC starves once its front has waited over thr cycles.
-        waits = [
-            f"mv{m}.wait_since is not None and mv{m}.wait_since < lim"
-            f" and mv{m}.fifo"
-            for m in range(s.num_vcs * sum(not inj for inj, _n in s.inputs))
-        ]
-        emit(2, "if inj_bids:")
-        emit(3, "lim = now - thr")
-        if waits:
-            emit(3, "if (")
-            for m, w in enumerate(waits):
-                emit(4, ("or " if m else "") + f"({w})")
-            emit(3, "):")
-            emit(4, "for p in bid_ports:")
-            emit(5, f"if p >= {_MESH_PORTS}:")
-            emit(6, "bl = port_bids[p]")
-            emit(6, "router.starvation_demotions += len(bl)")
-            emit(6, "port_bids[p] = [(v, o, 0) for v, o, _pr in bl]")
-
-    # -- switch allocation and traversal ------------------------------------
-    # Fast path: every bidding input has one bid and the outputs are
-    # distinct, so every bid wins and each pointer moves past its winner.
-    has_inj = any(inj for inj, _n in s.inputs)
-    emit(2, "fast = []")
-    emit(2, "omask = 0")
-    emit(2, "for p in bid_ports:")
-    emit(3, "bl = port_bids[p]")
-    emit(3, "if len(bl) != 1:")
-    emit(4, "break")
-    emit(3, "v, o, _pr = bl[0]")
-    emit(3, "ob = 1 << o")
-    emit(3, "if omask & ob:")
-    emit(4, "break")
-    emit(3, "omask |= ob")
-    emit(3, "fast.append((p, v, o))")
-    emit(2, "else:")
-    if has_inj:
-        emit(3, "injected = 0")
-    emit(3, "for p, v, o in fast:")
-    emit(4, f"in_arbs[p]._next = {_successors(nvc)}[v]")
-    emit(4, f"out_arbs[o]._next = {_successors(s.num_inputs)}[p]")
-    _traverse(emit, 4, s, has_inj)
-    _finish(emit, 3, has_inj, "fast")
+    # -- switch traversal, in first-pick order ---------------------------
     if has_inj:
         emit(2, "injected = 0")
-    emit(2, "grants = allocate(bid_ports, port_bids)")
-    emit(2, "for p, v in grants:")
-    _traverse(emit, 3, s, has_inj, route="vq.out_port")
-    _finish(emit, 2, has_inj, "grants")
+    emit(2, "for o in order:")
+    emit(3, "p, v, _pr = best[o]")
+    emit(3, f"out_arbs[o]._next = {_successors(s.num_inputs)}[p]")
+    _traverse(emit, 3, s, has_inj)
+    _finish(emit, 2, has_inj, "order")
     emit(1, "return _step")
     return "\n".join(emit.lines) + "\n"
 
@@ -535,8 +676,6 @@ def specialize(router) -> Callable[[int], int]:
         "router": router,
         "rid": router.router_id,
         "freed": router._freed,
-        "try_alloc": router._try_allocate,
-        "allocate": router._allocate,
         "in_arbs": alloc._input_arbiters,
         "out_arbs": alloc._output_arbiters,
         # rot[start]: the wired inputs in VA order, from port ``start`` on.
@@ -570,8 +709,26 @@ def specialize(router) -> Callable[[int], int]:
             )
             for out in router.output_ports
         ),
-        "port_bids": [None] * router.num_inputs,
+        # Per output port, for VC allocation: (credit counter, its
+        # counts, writer locks, flits left per lock), or None.
+        "tva": tuple(
+            None if out is None else (
+                out.credits,
+                None if out.credits is None else out.credits.counts,
+                out.writer,
+                out.writer_left,
+            )
+            for out in router.output_ports
+        ),
     }
+    if s.vc_rule:
+        # Per output port, the adaptive congestion score's source:
+        # ``.total`` free credits, unbounded for ejection, -1 if unwired.
+        binds["free"] = tuple(
+            out.credits if out is not None and out.credits is not None
+            else SimpleNamespace(total=-1 if out is None else 1 << 20)
+            for out in router.output_ports
+        )
     for j, (port, out) in enumerate(_credited(router)):
         binds.update({
             f"cq{j}": out.credit_in._in_flight,

@@ -6,9 +6,15 @@ slowing the suite down.
 """
 
 import dataclasses
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repro
 from repro.experiments.executor import (
     ExecutorError,
     SweepExecutor,
@@ -171,6 +177,58 @@ class TestRetry:
         with pytest.raises(ExecutorError) as excinfo:
             ex.run_many([bad] + _specs(1))
         assert excinfo.value.spec.benchmark == "no-such-benchmark"
+
+
+# A sweep whose tasks cannot be pickled, in a fresh interpreter.  The
+# pool's feeder thread reports each such task late (the sleep), so the
+# sweep fails while tasks it already handed to the pool are still waiting
+# to be serialized: the pool's manager thread then waits on them forever
+# unless the failure path stops the workers.
+_UNPICKLABLE_SWEEP = textwrap.dedent("""
+    import concurrent.futures.process as cfp
+    import time
+
+    from repro.experiments import executor
+    from repro.experiments.runner import RunSpec
+
+    feeder_error = cfp._SafeQueue._on_queue_feeder_error
+
+    def late_feeder_error(self, e, obj):
+        time.sleep(0.2)
+        feeder_error(self, e, obj)
+
+    cfp._SafeQueue._on_queue_feeder_error = late_feeder_error
+    executor._run_chunk = lambda payload, check: []
+    specs = [
+        RunSpec("bfs", "xy-baseline", cycles=10 + i, warmup=0, mesh=4)
+        for i in range(4)
+    ]
+    sweep = executor.SweepExecutor(
+        workers=2, chunk_size=1, retries=0, use_cache=False
+    )
+    try:
+        sweep.run_many(specs)
+    except executor.ExecutorError:
+        print("ExecutorError")
+""")
+
+
+def test_unpicklable_task_fails_and_process_exits():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _UNPICKLABLE_SWEEP], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the child and its workers
+        proc.communicate()
+        pytest.fail("the process did not exit after ExecutorError")
+    assert out.strip() == "ExecutorError", err
+    assert proc.returncode == 0, err
 
 
 class TestObservability:

@@ -14,8 +14,9 @@ compare the results byte for byte.
   switch allocation (:func:`allocate`), switch traversal;
 * the flow-control primitives it is written in (:func:`deliver`,
   :func:`restore`, :func:`consume`, :func:`vc_claimable`,
-  :func:`record_send`), which the simulator inlines into
-  :meth:`Router.step`;
+  :func:`free_credit_total`, :func:`claim`, :func:`set_route`,
+  :func:`set_out_vc`, :func:`record_send`), which the simulator inlines
+  into :meth:`Router.step`;
 * :func:`core_step` — one core cycle without the dead-cycle memo;
 * :func:`bind_oracle` — rebinds those on a live network or system;
 * :func:`deep_state` — the in-flight state end-of-run counters can miss.
@@ -74,6 +75,39 @@ def vc_claimable(out, vc: int, size: int) -> bool:
     if out.credits is not None and free_space(out.credits, vc) < size:
         return False
     return True
+
+
+def free_credit_total(out) -> int:
+    """Congestion score used by adaptive routing (bigger = freer)."""
+    if out.credits is None:
+        return 1 << 20
+    return out.credits.total
+
+
+def claim(out, vc: int, pid: int, size: int) -> None:
+    """Lock downstream ``vc`` for the ``size`` flits of packet ``pid``."""
+    if out.writer[vc] is not None:
+        raise RuntimeError(f"output vc {vc} already claimed")
+    out.writer[vc] = pid
+    out.writer_left[vc] = size
+
+
+def set_route(vc, out_port: int) -> None:
+    """ROUTING -> VA: the head at the front of ``vc`` leaves by ``out_port``."""
+    if vc.state != VCState.ROUTING:
+        raise RuntimeError(f"set_route in state {vc.state!r}")
+    vc.out_port = out_port
+    vc.fifo[0].out_port = out_port
+    vc.state = VCState.VA
+
+
+def set_out_vc(vc, out_vc: int) -> None:
+    """VA -> ACTIVE: the head has downstream VC ``out_vc``."""
+    if vc.state != VCState.VA:
+        raise RuntimeError(f"set_out_vc in state {vc.state!r}")
+    vc.out_vc = out_vc
+    vc.fifo[0].out_vc = out_vc
+    vc.state = VCState.ACTIVE
 
 
 def record_send(out, vc: int, pid: int) -> None:
@@ -251,13 +285,19 @@ def _ingest(router, now: int) -> None:
             router._occ += 1
 
 
+def _commit_allocation(vc, out, out_port: int, dvc: int, pkt) -> None:
+    set_route(vc, out_port)
+    set_out_vc(vc, dvc)
+    claim(out, dvc, pkt.pid, pkt.size)
+
+
 def _try_allocate(router, vc, pkt) -> bool:
     routing = router.routing
     candidates = vc.candidates or []
     if routing.adaptive and len(candidates) > 1:
         candidates = sorted(
             candidates,
-            key=lambda p: -(router.output_ports[p].free_credit_total()
+            key=lambda p: -(free_credit_total(router.output_ports[p])
                             if router.output_ports[p] is not None else -1),
         )
     escape = vc.escape if vc.escape is not None else LOCAL
@@ -269,16 +309,16 @@ def _try_allocate(router, vc, pkt) -> bool:
             # Ejection: claim any free writer slot (infinite credits).
             for dvc in range(router.num_vcs):
                 if out.writer[dvc] is None:
-                    router._commit_allocation(vc, out, out_port, dvc, pkt)
+                    _commit_allocation(vc, out, out_port, dvc, pkt)
                     return True
             continue
         # Prefer adaptive VCs (leave the escape VC as a fallback).
-        for dvc in router._vc_order:
+        for dvc in tuple(range(1, router.num_vcs)) + (0,):
             if not routing.vc_allowed(dvc, out_port, escape):
                 continue
             if not vc_claimable(out, dvc, pkt.size):
                 continue
-            router._commit_allocation(vc, out, out_port, dvc, pkt)
+            _commit_allocation(vc, out, out_port, dvc, pkt)
             return True
     return False
 

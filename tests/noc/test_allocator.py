@@ -1,21 +1,33 @@
 """Tests for arbiters and the separable input-first switch allocator.
 
-Arbitration runs inline in ``Router.step``; these tests pin the
-stage-by-stage oracle (``tests/noc/oracle.py``) that the router is
-differentially tested against, over the allocator state in
-``repro.noc.allocator``.
+Arbitration runs inside the generated ``Router.step``.  These tests pin
+the stage-by-stage oracle (``tests/noc/oracle.py``) over the allocator
+state in ``repro.noc.allocator``, and drive one router step against it
+from arbitrary bids, pointers, priorities and speedups.
 """
 
 import copy
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.noc.allocator import RoundRobinArbiter, SwitchAllocator
+from repro.noc.buffer import VCState
+from repro.noc.credit import CreditChannel
+from repro.noc.flit import Packet, PacketType
+from repro.noc.link import Link
 from repro.noc.router import Router
 from repro.noc.routing import XYRouting
 
-from tests.noc.oracle import Bid, allocate, grant, grant_prioritized
+from tests.noc.oracle import (
+    Bid,
+    allocate,
+    deep_state,
+    grant,
+    grant_prioritized,
+    router_step,
+)
 
 
 class TestRoundRobinArbiter:
@@ -161,6 +173,78 @@ def test_allocator_invariants(bids, inj_speedup):
         assert winners
 
 
+def _bidding_network(bids, in_ptrs, out_ptrs, speedup, priority, thr):
+    """A wired router whose VCs in ``bids`` hold ACTIVE heads, ready to bid.
+
+    ``bids`` are ``(in_port, vc, out_port, priority)``; a VC's first
+    entry wins (it has one front flit).  Each head has its route and
+    output VC 0 claimed already.  Every packet bidding for one output
+    carries that output's packet id, held in its VC-0 writer lock, so
+    whichever VC the output grants may send.  Returns a namespace that
+    :func:`deep_state` reads like a network.
+    """
+    router = Router(
+        0, (0, 0), XYRouting(), num_vcs=4, num_injection_ports=2,
+        injection_speedup=speedup, priority_enabled=priority,
+        starvation_threshold=thr,
+    )
+    mesh_links = []
+    for port in range(4):
+        link = Link(f"out{port}")
+        router.set_output(port, link, CreditChannel(1), 9)
+        mesh_links.append(link)
+        router.set_input(port, Link(f"in{port}"), CreditChannel(1))
+    ejection = Link("ej")
+    router.set_ejection(ejection)
+    for port in (4, 5):
+        router.set_input(port, Link(f"inj{port}", is_injection=True), None)
+    pids = {}
+    for ip, vc, op, pr in bids:
+        port = router.input_ports[ip]
+        q = port.vcs[vc]
+        if q.fifo:
+            continue
+        pkt = Packet(PacketType.READ_REPLY, 1, 2, 2, 0, priority=pr)
+        if op not in pids:
+            out = router.output_ports[op]
+            pids[op] = out.writer[0] = pkt.pid
+            out.writer_left[0] = 99
+        pkt.pid = pids[op]
+        head = pkt.make_flits()[0]
+        head.vc, head.out_port, head.out_vc = vc, op, 0
+        q.fifo.append(head)
+        q.state, q.out_port, q.out_vc, q.wait_since = VCState.ACTIVE, op, 0, 0
+        port.occ += 1
+        router._occ += 1
+    alloc = router.allocator
+    for arb, ptr in zip(alloc._input_arbiters, in_ptrs):
+        arb._next = ptr
+    for arb, ptr in zip(alloc._output_arbiters, out_ptrs):
+        arb._next = ptr
+    return types.SimpleNamespace(
+        routers=[router], mesh_links=mesh_links, injection_links=[],
+        ejection_links=[ejection], nis=[],
+    )
+
+
+_COUNTERS = (
+    "flits_switched", "flits_injected", "speedup_extra_flits",
+    "starvation_demotions",
+)
+
+
+def _step_both(net, now):
+    """One generated step on ``net`` and one oracle step on a deep copy."""
+    twin = copy.deepcopy(net)
+    router, other = net.routers[0], twin.routers[0]
+    moved = router.step(now)
+    assert moved == router_step(other, now)
+    assert deep_state(net) == deep_state(twin)
+    for name in _COUNTERS:
+        assert getattr(router, name) == getattr(other, name), name
+    return moved
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     bids=st.lists(
@@ -175,43 +259,33 @@ def test_allocator_invariants(bids, inj_speedup):
     in_ptrs=st.lists(st.integers(0, 3), min_size=6, max_size=6),
     out_ptrs=st.lists(st.integers(0, 5), min_size=5, max_size=5),
     speedup=st.integers(1, 4),
+    priority=st.booleans(),
+    starved=st.booleans(),
 )
-def test_router_allocation_matches_oracle(bids, in_ptrs, out_ptrs, speedup):
-    """The router's single-pass arbitration equals the two-stage oracle.
+def test_router_allocation_matches_oracle(
+    bids, in_ptrs, out_ptrs, speedup, priority, starved
+):
+    """The generated step's fused allocation equals the two-stage oracle.
 
-    Same grants in the same order, and the same round-robin pointers
-    afterwards, from any pointer state and any mix of priorities.
+    Same flits moved, the same arbiter pointers, credits and writer
+    locks afterwards, from any pointer state and any mix of priorities;
+    with ``starved``, every bidding mesh VC has waited past the
+    starvation threshold.
     """
-    router = Router(
-        0, (0, 0), XYRouting(), num_vcs=4, num_injection_ports=2,
-        injection_speedup=speedup,
-    )
-    alloc = router.allocator
-    for arb, ptr in zip(alloc._input_arbiters, in_ptrs):
-        arb._next = ptr
-    for arb, ptr in zip(alloc._output_arbiters, out_ptrs):
-        arb._next = ptr
-    twin = copy.deepcopy(alloc)
-    # Router.step lists one bid per VC, in VC order, per bidding input.
-    port_bids = [None] * router.num_inputs
-    bid_ports = []
-    for ip, vc, op, pr in bids:
-        if port_bids[ip] is None:
-            port_bids[ip] = []
-            bid_ports.append(ip)
-        if all(t[0] != vc for t in port_bids[ip]):
-            port_bids[ip].append((vc, op, pr))
-    for blist in port_bids:
-        if blist:
-            blist.sort()
+    net = _bidding_network(bids, in_ptrs, out_ptrs, speedup, priority, thr=10)
+    moved = _step_both(net, now=11 if starved else 10)
+    assert bool(moved) == bool(bids)
 
-    grants = router._allocate(bid_ports, port_bids) if bid_ports else []
-    winners = allocate(twin, [
-        Bid(p, vc, op, pr) for p in bid_ports for vc, op, pr in port_bids[p]
-    ])
-    assert grants == [(w.in_port, w.vc) for w in winners]
-    for ours, theirs in (
-        (alloc._input_arbiters, twin._input_arbiters),
-        (alloc._output_arbiters, twin._output_arbiters),
-    ):
-        assert [a._next for a in ours] == [a._next for a in theirs]
+
+def test_starved_mesh_vc_demotes_injection_bids():
+    # Injection VCs outrank the mesh VC at output 1 until it starves.
+    bids = [(0, 0, 1, 0), (4, 0, 1, 3), (4, 1, 2, 3), (5, 2, 1, 2)]
+    net = _bidding_network(bids, [0] * 6, [0] * 5, 2, True, thr=10)
+    calm = copy.deepcopy(net)
+    _step_both(calm, now=10)
+    assert calm.routers[0].starvation_demotions == 0
+    assert calm.routers[0].input_ports[0].vcs[0].fifo  # the mesh VC lost
+    _step_both(net, now=11)
+    router = net.routers[0]
+    assert router.starvation_demotions == 3
+    assert not router.input_ports[0].vcs[0].fifo  # the mesh VC won

@@ -5,6 +5,8 @@ import pytest
 from repro.noc.buffer import InputPort, VCState, VirtualChannel
 from repro.noc.flit import Packet, PacketType
 
+from tests.noc.oracle import set_out_vc, set_route
+
 
 def flits_of(size=3, priority=0):
     return Packet(PacketType.READ_REPLY, 0, 1, size, 0, priority=priority).make_flits()
@@ -25,25 +27,25 @@ class TestVCStateMachine:
         vc = VirtualChannel(0, 9)
         head = flits_of(3)[0]
         vc.push(head, now=0)
-        vc.set_route(2)
+        set_route(vc, 2)
         assert vc.state == VCState.VA
         assert head.out_port == 2
-        vc.set_out_vc(1)
+        set_out_vc(vc, 1)
         assert vc.state == VCState.ACTIVE
         assert head.out_vc == 1
 
     def test_set_route_requires_routing_state(self):
         vc = VirtualChannel(0, 9)
         with pytest.raises(RuntimeError):
-            vc.set_route(1)
+            set_route(vc, 1)
 
     def test_tail_pop_releases_route(self):
         vc = VirtualChannel(0, 9)
         f = flits_of(2)
         vc.push(f[0], 0)
         vc.push(f[1], 0)
-        vc.set_route(1)
-        vc.set_out_vc(0)
+        set_route(vc, 1)
+        set_out_vc(vc, 0)
         vc.pop(1)
         assert vc.state == VCState.ACTIVE  # body still queued
         vc.pop(2)
@@ -58,8 +60,8 @@ class TestVCStateMachine:
         p2 = flits_of(2)
         for f in p1 + p2:
             vc.push(f, 0)
-        vc.set_route(1)
-        vc.set_out_vc(0)
+        set_route(vc, 1)
+        set_out_vc(vc, 0)
         vc.pop(1)
         vc.pop(2)  # p1 tail leaves
         assert vc.state == VCState.ROUTING  # p2's head now at the front
@@ -110,8 +112,8 @@ class TestWaitTracking:
         f = flits_of(2)
         vc.push(f[0], 5)
         vc.push(f[1], 5)
-        vc.set_route(1)
-        vc.set_out_vc(0)
+        set_route(vc, 1)
+        set_out_vc(vc, 0)
         vc.pop(9)
         assert vc.wait_since == 9
 

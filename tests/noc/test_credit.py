@@ -12,8 +12,10 @@ from repro.noc.link import Link
 from repro.noc.router import FAULT_PID, OutputPort
 
 from tests.noc.oracle import (
+    claim,
     consume,
     deliver,
+    free_credit_total,
     free_space,
     has_credit,
     record_send,
@@ -121,10 +123,10 @@ class TestOutputPort:
 
     def test_writer_lock_blocks_claims_until_the_tail(self):
         out = _output()
-        out.claim(1, pid=7, size=2)
+        claim(out, 1, pid=7, size=2)
         assert not vc_claimable(out, 1, 1)
         with pytest.raises(RuntimeError):
-            out.claim(1, pid=8, size=1)
+            claim(out, 1, pid=8, size=1)
         record_send(out, 1, 7)
         assert out.writer[1] == 7 and out.writer_left[1] == 1
         record_send(out, 1, 7)
@@ -133,7 +135,7 @@ class TestOutputPort:
 
     def test_send_from_another_packet_raises(self):
         out = _output()
-        out.claim(0, pid=7, size=2)
+        claim(out, 0, pid=7, size=2)
         with pytest.raises(RuntimeError):
             record_send(out, 0, 8)
 
@@ -146,4 +148,4 @@ class TestOutputPort:
     def test_ejection_port_has_infinite_credit(self):
         out = OutputPort(4, Link("ej"), 2, None, None)
         assert vc_claimable(out, 0, 1000)
-        assert out.free_credit_total() == 1 << 20
+        assert free_credit_total(out) == 1 << 20

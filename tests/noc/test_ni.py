@@ -114,6 +114,24 @@ class TestEnhancedNI:
         assert link.flits_carried == 10
 
 
+class TestCreditGuard:
+    """A bound packet always has credit; running out is a loud error."""
+
+    @pytest.mark.parametrize("cls", [EnhancedNI, MultiPortNI])
+    def test_underflow_mid_packet_raises(self, cls):
+        ni = cls(0, 36, 4)
+        link = wire_single(ni)
+        if cls is MultiPortNI:
+            ni.port_index = {4: 0}
+        ni.offer(reply(9), 0)
+        assert ni.step(0) == 1  # head sent; the packet is bound
+        port, vc = ni._front_binding
+        ni.credits[(port, vc)] = 0
+        with pytest.raises(RuntimeError, match="NI credit underflow"):
+            ni.step(1)
+        assert link.flits_carried == 1
+
+
 class TestBaselineNI:
     def test_narrow_link_transfer_delay(self):
         """GPGPU-Sim default: the packet crawls over a narrow MC->NI link."""
